@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"sunmap/internal/apps"
@@ -145,10 +146,16 @@ func TestEscalationStopsAtFirstFeasibleRung(t *testing.T) {
 func TestSharedCacheAcrossSelectAndExplorers(t *testing.T) {
 	// One cache spanning an escalated Select, a RoutingSweep and a second
 	// Select: the re-visited design points must be served from memory.
-	// Parallelism is pinned to 1 because the entry-count assertions below
-	// reason about exactly which design points were evaluated; a parallel
-	// escalation speculatively maps (and caches) candidates of the next
-	// rung, which is timing-dependent by design.
+	// The escalation rungs run in order, so the entry counts below are
+	// the same at every parallelism.
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("parallelism-%d", par), func(t *testing.T) {
+			sharedCacheAcrossSelectAndExplorers(t, par)
+		})
+	}
+}
+
+func sharedCacheAcrossSelectAndExplorers(t *testing.T, par int) {
 	app := apps.MPEG4()
 	opts := mapping.Options{
 		Routing:      route.MinPath,
@@ -157,7 +164,7 @@ func TestSharedCacheAcrossSelectAndExplorers(t *testing.T) {
 	}
 	cache := engine.NewCache()
 	sel, err := SelectContext(context.Background(), Config{
-		App: app, Mapping: opts, EscalateRouting: true, Cache: cache, Parallelism: 1,
+		App: app, Mapping: opts, EscalateRouting: true, Cache: cache, Parallelism: par,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -167,6 +174,9 @@ func TestSharedCacheAcrossSelectAndExplorers(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Hits != 0 {
 		t.Fatalf("fresh cache reported %d hits", st.Hits)
+	}
+	if st := cache.Stats(); st.Entries != 2*len(sel.Candidates) {
+		t.Errorf("escalated Select cached %d entries, want %d (one library sweep per rung)", st.Entries, 2*len(sel.Candidates))
 	}
 
 	// The routing sweep on the paper's 3x4 mesh revisits the (MP, SM)
@@ -185,7 +195,7 @@ func TestSharedCacheAcrossSelectAndExplorers(t *testing.T) {
 
 	// Re-running the same Select is a pure replay: no new entries.
 	sel2, err := SelectContext(context.Background(), Config{
-		App: app, Mapping: opts, EscalateRouting: true, Cache: cache, Parallelism: 1,
+		App: app, Mapping: opts, EscalateRouting: true, Cache: cache, Parallelism: par,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -62,24 +62,35 @@ type entry struct {
 	err error
 }
 
+// cacheCap bounds the number of memoized evaluations a Cache holds in
+// memory (see Cache).
+const cacheCap = 4096
+
 // Cache is a concurrency-safe, content-addressed memo of mapping
 // evaluations shared across Phase-1 sweeps, routing escalation, routing
 // sweeps and Pareto exploration. Cached Results are shared pointers and
 // must be treated as immutable by all consumers.
+//
+// Memory is bounded by two generations: new entries land in young, and
+// when young reaches half of cacheCap it becomes old and a fresh young
+// starts, dropping the previous old generation. A hit in old promotes
+// the entry back into young, so an entry used at least once per
+// generation survives any number of rotations, and at most cacheCap
+// entries are ever held.
 type Cache struct {
 	mu           sync.RWMutex
-	m            map[string]entry
+	young, old   map[string]entry
 	hits, misses uint64
 	// spill is the lazy disk-loaded tier (see spill.go): raw spill-file
-	// records decoded and promoted into m only when a lookup hits their
-	// key. spillHits counts promotions.
+	// records decoded and promoted into young only when a lookup hits
+	// their key. spillHits counts promotions.
 	spill     map[string][]byte
 	spillHits uint64
 }
 
 // NewCache returns an empty evaluation cache.
 func NewCache() *Cache {
-	return &Cache{m: make(map[string]entry)}
+	return &Cache{young: make(map[string]entry)}
 }
 
 // get returns the memoized evaluation and bumps the hit/miss counters.
@@ -93,14 +104,16 @@ func (c *Cache) get(key string, topo topology.Topology) (entry, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.m[key]
+	e, ok := c.young[key]
 	if !ok {
-		if raw, spilled := c.spill[key]; spilled {
+		if e, ok = c.old[key]; ok {
+			c.add(key, e)
+		} else if raw, spilled := c.spill[key]; spilled {
 			delete(c.spill, key)
 			var s spillResult
 			if err := json.Unmarshal(raw, &s); err == nil {
 				e, ok = entry{res: s.toResult(topo)}, true
-				c.m[key] = e
+				c.add(key, e)
 				c.spillHits++
 				cacheSpillHits.Inc()
 			}
@@ -122,8 +135,19 @@ func (c *Cache) put(key string, e entry) {
 		return
 	}
 	c.mu.Lock()
-	c.m[key] = e
+	c.add(key, e)
 	c.mu.Unlock()
+}
+
+// add stores e in the young generation, rotating generations when young
+// is full. The key leaves old, so no key is ever held twice. Callers
+// hold mu.
+func (c *Cache) add(key string, e entry) {
+	delete(c.old, key)
+	c.young[key] = e
+	if len(c.young) >= cacheCap/2 {
+		c.old, c.young = c.young, make(map[string]entry)
+	}
 }
 
 // CacheStats snapshots cache effectiveness. The JSON names are part of
@@ -132,7 +156,8 @@ type CacheStats struct {
 	// Hits and Misses count lookups since creation.
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
-	// Entries is the number of memoized evaluations.
+	// Entries is the number of memoized evaluations held in memory
+	// (both generations).
 	Entries int `json:"entries"`
 	// SpillEntries is the number of disk-loaded records not yet promoted
 	// into memory; SpillHits counts lookups served by promoting one.
@@ -148,7 +173,7 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return CacheStats{
-		Hits: c.hits, Misses: c.misses, Entries: len(c.m),
+		Hits: c.hits, Misses: c.misses, Entries: len(c.young) + len(c.old),
 		SpillEntries: len(c.spill), SpillHits: c.spillHits,
 	}
 }
@@ -160,5 +185,5 @@ func (c *Cache) Len() int {
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.m)
+	return len(c.young) + len(c.old)
 }

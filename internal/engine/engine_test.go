@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -321,5 +322,20 @@ func TestFan(t *testing.T) {
 	cancel()
 	if err := Fan(ctx, 4, Options{}, func(int) error { return errors.New("ran") }); err != context.Canceled {
 		t.Errorf("canceled Fan returned %v, want context.Canceled", err)
+	}
+}
+
+// TestIntraParallelism pins the resolution rule shared by the outer
+// worker pool and the intra-candidate fan-out: explicit values pass
+// through, zero and negatives select GOMAXPROCS.
+func TestIntraParallelism(t *testing.T) {
+	if got := (Options{Parallelism: 3}).IntraParallelism(); got != 3 {
+		t.Errorf("IntraParallelism() = %d, want 3", got)
+	}
+	for _, par := range []int{0, -1} {
+		if got := (Options{Parallelism: par}).IntraParallelism(); got != runtime.GOMAXPROCS(0) {
+			t.Errorf("Parallelism %d: IntraParallelism() = %d, want GOMAXPROCS (%d)",
+				par, got, runtime.GOMAXPROCS(0))
+		}
 	}
 }

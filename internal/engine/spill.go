@@ -20,7 +20,7 @@ import (
 // restarted server is warm: SaveFile writes every successful evaluation
 // as one JSON line, LoadFile brings them back as raw bytes that are
 // decoded lazily — only when a lookup actually hits the key — and then
-// promoted to the in-memory map.
+// promoted into memory.
 //
 // A mapping.Result cannot round-trip whole because its Topology field is
 // an interface whose concrete kind participates in the cache key. The
@@ -96,31 +96,35 @@ func (s spillResult) toResult(topo topology.Topology) *mapping.Result {
 	}
 }
 
-// SaveFile writes the cache's successful evaluations to path as JSON
-// lines, sorted by key, atomically (temp file + rename in path's
-// directory). Error entries are deterministic and cheap to rediscover,
-// so they are not spilled; entries whose result cannot be marshaled
-// (e.g. a non-finite float) are skipped. It returns the number of
-// entries written.
+// SaveFile writes the cache's successful evaluations — both in-memory
+// generations plus unpromoted spill records — to path as JSON lines,
+// sorted by key, atomically (temp file + rename in path's directory).
+// Entries the generation bound has already evicted are not spilled.
+// Error entries are deterministic and cheap to rediscover, so they are
+// not spilled either; entries whose result cannot be marshaled (e.g. a
+// non-finite float) are skipped. It returns the number of entries
+// written.
 func (c *Cache) SaveFile(path string) (int, error) {
 	if c == nil {
 		return 0, nil
 	}
 	c.mu.RLock()
-	lines := make(map[string][]byte, len(c.m)+len(c.spill))
+	lines := make(map[string][]byte, len(c.young)+len(c.old)+len(c.spill))
 	// Unpromoted spill entries survive a save/load cycle unchanged.
 	for k, raw := range c.spill {
 		lines[k] = raw
 	}
-	for k, e := range c.m {
-		if e.err != nil || e.res == nil {
-			continue
+	for _, gen := range []map[string]entry{c.old, c.young} {
+		for k, e := range gen {
+			if e.err != nil || e.res == nil {
+				continue
+			}
+			raw, err := json.Marshal(toSpill(e.res))
+			if err != nil {
+				continue
+			}
+			lines[k] = raw
 		}
-		raw, err := json.Marshal(toSpill(e.res))
-		if err != nil {
-			continue
-		}
-		lines[k] = raw
 	}
 	c.mu.RUnlock()
 
@@ -191,7 +195,10 @@ func (c *Cache) LoadFile(path string) (int, error) {
 		if err := json.Unmarshal(sc.Bytes(), &ln); err != nil || ln.Key == "" || len(ln.Result) == 0 {
 			break // corrupt tail: keep what loaded cleanly
 		}
-		if _, ok := c.m[ln.Key]; ok {
+		if _, ok := c.young[ln.Key]; ok {
+			continue
+		}
+		if _, ok := c.old[ln.Key]; ok {
 			continue
 		}
 		c.spill[ln.Key] = append([]byte(nil), ln.Result...)

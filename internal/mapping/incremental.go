@@ -112,6 +112,10 @@ type incState struct {
 	// bandwidth-weighted minimum-hop sum of commodities k.. under the
 	// candidate assignment.
 	hopSuffix []float64
+	// overloaded is sticky per eval: set once any link load has exceeded
+	// the capacity. While it is false every load is within capacity, so
+	// hopBound's overload term is exactly 0 and its link scan is skipped.
+	overloaded bool
 
 	// Baseline: the routed structure of every commodity under the
 	// currently accepted assignment.
@@ -255,21 +259,45 @@ const pruneSlack = 1e-10
 // the overload penalty multiplies by a factor that is monotone in the
 // link loads — which at commodity boundaries only ever grow toward the
 // final loads. So no completion of this partial evaluation can score
-// below the returned value.
-func (st *incState) hopBound(res *route.Result, k int) float64 {
+// below the returned value. rec is commodity k-1's just-applied record:
+// the only links whose loads changed since the previous call, so while
+// none of them exceeds the capacity no link does and the full overload
+// scan is skipped.
+func (st *incState) hopBound(res *route.Result, k int, rec *flowRec) float64 {
 	lb := (res.HopSumMBps + st.hopSuffix[k]) / st.totalMBps
-	if limit := st.ev.opts.CapacityMBps; limit > 0 {
-		var overload float64
-		for _, l := range res.LinkLoads {
-			if l > limit {
-				overload += (l - limit) / limit
-			}
-		}
-		if overload > 0 {
-			lb *= 1 + 10*overload
+	limit := st.ev.opts.CapacityMBps
+	if limit <= 0 {
+		return lb
+	}
+	if !st.overloaded {
+		st.overloaded = recExceeds(rec, res.LinkLoads, limit)
+		if !st.overloaded {
+			return lb
 		}
 	}
+	var overload float64
+	for _, l := range res.LinkLoads {
+		if l > limit {
+			overload += (l - limit) / limit
+		}
+	}
+	if overload > 0 {
+		lb *= 1 + 10*overload
+	}
 	return lb
+}
+
+// recExceeds reports whether any link on rec's paths carries more than
+// limit.
+func recExceeds(rec *flowRec, loads []float64, limit float64) bool {
+	for i := 0; i < rec.n; i++ {
+		for _, id := range rec.arcs[i] {
+			if loads[id] > limit {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // eval evaluates the current assignment. ca and cb are the cores the
@@ -305,6 +333,7 @@ func (st *incState) eval(assign []int, ca, cb int, all bool, bound float64) (e *
 	}
 	res := &st.res
 	res.Reset(len(st.links), st.topo.NumRouters())
+	st.overloaded = false
 	st.dirtyEpoch++
 	st.dirtyIDs = st.dirtyIDs[:0]
 	st.reroutedIDs = st.reroutedIDs[:0]
@@ -330,7 +359,7 @@ func (st *incState) eval(assign []int, ca, cb int, all bool, bound float64) (e *
 		}
 		if !reroute {
 			st.applyRec(res, c, &st.base[k])
-			if prune && st.hopBound(res, k+1)*(1-pruneSlack) >= bound {
+			if prune && st.hopBound(res, k+1, &st.base[k])*(1-pruneSlack) >= bound {
 				return nil, true, nil
 			}
 			continue
@@ -367,7 +396,7 @@ func (st *incState) eval(assign []int, ca, cb int, all bool, bound float64) (e *
 			st.markRecDirty(&st.base[k])
 			st.markRecDirty(rec)
 		}
-		if prune && st.hopBound(res, k+1)*(1-pruneSlack) >= bound {
+		if prune && st.hopBound(res, k+1, rec)*(1-pruneSlack) >= bound {
 			return nil, true, nil
 		}
 	}

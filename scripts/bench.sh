@@ -59,10 +59,12 @@ go test -run '^$' -bench 'BenchmarkSearchEval$' \
 # journal replay rate on reopen.
 go test -run '^$' -bench 'BenchmarkSubmitReplay$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/jobs | tee -a "$RAW"
-# The selection sweep runs at 1 and 4 procs when the box has the cores,
-# so the snapshot captures the scaling claim, not just one point.
+# The selection sweep runs at 1 and 4 procs (1 and 2 on 2- and 3-core
+# boxes), so the snapshot captures the scaling claim, not just one point.
 if [ "$MAXPROCS" -ge 4 ]; then
     SELECT_CPU="-cpu 1,4"
+elif [ "$MAXPROCS" -ge 2 ]; then
+    SELECT_CPU="-cpu 1,2"
 else
     SELECT_CPU=""
 fi

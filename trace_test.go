@@ -51,6 +51,51 @@ func TestTracedReportsByteIdentical(t *testing.T) {
 	}
 }
 
+// TestEscalationEvaluatesOneSweepPerRung is the wasted-work gate of
+// routing escalation: a parallel escalated select must map exactly what
+// the sequential ladder maps — one library sweep per rung reached, no
+// evaluations of rungs the selection never needed. vopd stops at MP;
+// mpeg4 escalates MP -> SM.
+func TestEscalationEvaluatesOneSweepPerRung(t *testing.T) {
+	ladder := []string{"MP", "SM", "SA"}
+	for _, app := range []string{"vopd", "mpeg4"} {
+		evals := make(map[int]uint64)
+		for _, par := range []int{1, 2} {
+			tr := sunmap.NewTrace()
+			sess, err := sunmap.NewSession(sunmap.WithParallelism(par), sunmap.WithTrace(tr))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := sess.Select(context.Background(), sunmap.SelectRequest{
+				App:      sunmap.AppSpec{Name: app},
+				Mapping:  sunmap.MapSpec{Routing: "MP", Objective: "delay", CapacityMBps: 500},
+				Escalate: true,
+			})
+			if err != nil {
+				t.Fatalf("%s parallelism %d: %v", app, par, err)
+			}
+			rungs := 0
+			for i, fn := range ladder {
+				if fn == rep.RoutingUsed {
+					rungs = i + 1
+				}
+			}
+			for _, st := range tr.Snapshot().Stages {
+				if st.Stage == "evaluate" {
+					evals[par] = st.Count
+				}
+			}
+			if want := uint64(rungs * rep.Candidates); evals[par] != want {
+				t.Errorf("%s parallelism %d: %d evaluate spans, want %d (%d rungs x %d candidates)",
+					app, par, evals[par], want, rungs, rep.Candidates)
+			}
+		}
+		if evals[1] != evals[2] {
+			t.Errorf("%s: parallelism 2 recorded %d evaluate spans, sequential %d", app, evals[2], evals[1])
+		}
+	}
+}
+
 // TestTraceStagesAndRendering checks the trace sees the expected stages
 // for a known workload and that WriteText renders every recorded row.
 func TestTraceStagesAndRendering(t *testing.T) {
