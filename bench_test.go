@@ -5,7 +5,8 @@
 //
 // Each benchmark regenerates its artifact end to end (mapping, models,
 // floorplanning, simulation) and logs the reproduced table once, so the
-// bench run doubles as the experiment log (see EXPERIMENTS.md).
+// bench run doubles as the experiment log; `go run ./cmd/sunexp` prints
+// the same tables next to the paper's values.
 package sunmap_test
 
 import (

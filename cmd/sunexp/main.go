@@ -1,5 +1,5 @@
 // Command sunexp regenerates the paper's tables and figures (Section 6)
-// as text tables — the source of EXPERIMENTS.md.
+// as text tables, each next to the values the paper reports.
 //
 // Usage:
 //

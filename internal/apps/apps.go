@@ -1,8 +1,8 @@
 // Package apps provides the benchmark applications of the paper's
 // Section 6 as core graphs: the Video Object Plane Decoder (VOPD, Fig. 3a),
 // the MPEG4 decoder (Fig. 7a), the 16-node network processor (Fig. 8a) and
-// the DSP filter (Fig. 10a), plus a seeded synthetic generator for tests
-// and benchmarks.
+// the DSP filter (Fig. 10a), plus two seeded generators (Synthetic and
+// RandomApp) for tests and benchmarks.
 //
 // Edge bandwidths are transcribed from the figures; where a figure's
 // label-to-edge association is ambiguous in the scanned text, the
@@ -214,3 +214,37 @@ func ByName(name string) (*graph.CoreGraph, error) {
 
 // Names lists the built-in applications.
 func Names() []string { return []string{"vopd", "mpeg4", "netproc", "dsp"} }
+
+// RandomApp builds a seeded random application task graph with n cores:
+// a random-ancestor backbone (guaranteeing weak connectivity, the shape
+// of streaming task graphs) plus n extra random flows, bandwidths drawn
+// in [50, 450) MB/s and core areas in [1, 4) mm². The same (seed, n)
+// always yields the same graph. It is the shared seeded workload
+// generator: the topology-search property harness drives its invariant
+// checks over hundreds of these, and the mapping equivalence tests run
+// the incremental evaluator against the reference on them.
+func RandomApp(seed int64, n int) *graph.CoreGraph {
+	rng := rand.New(rand.NewSource(seed))
+	g := graph.NewCoreGraph(fmt.Sprintf("rand%d-s%d", n, seed))
+	for i := 0; i < n; i++ {
+		g.MustAddCore(graph.Core{
+			Name:    fmt.Sprintf("c%d", i),
+			AreaMM2: 1 + 3*rng.Float64(),
+		})
+	}
+	name := func(i int) string { return fmt.Sprintf("c%d", i) }
+	bw := func() float64 { return 50 + 400*rng.Float64() }
+	for i := 1; i < n; i++ {
+		g.MustConnect(name(rng.Intn(i)), name(i), bw())
+	}
+	for k := 0; k < n; k++ {
+		i, j := rng.Intn(n), rng.Intn(n)
+		if i == j {
+			continue
+		}
+		// duplicate flows between the same pair are legal (they sum), so
+		// no dedup is needed for the harness's purposes
+		g.MustConnect(name(i), name(j), bw())
+	}
+	return g
+}

@@ -2,8 +2,7 @@
 // (Section 6). Each Fig* function regenerates one artifact and returns a
 // structured result with a text rendering; cmd/sunexp prints them and the
 // root-level benchmarks time them. Paper-reported values are embedded so
-// the renderings show paper-vs-measured side by side (EXPERIMENTS.md is
-// produced from this output).
+// the renderings show paper-vs-measured side by side.
 package exp
 
 import (

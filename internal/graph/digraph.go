@@ -142,31 +142,54 @@ func (d *Digraph) HopDistance(src, dst int, allowed []bool) int {
 	return -1
 }
 
-// AllMinHopArcs returns the set of arc IDs that lie on at least one
-// minimum-hop src->dst path within `allowed`. Splitting across minimum
-// paths (routing function SM) restricts flow to this DAG.
-func (d *Digraph) AllMinHopArcs(src, dst int, allowed []bool) map[int]bool {
-	distS := d.bfsAll(src, allowed, false)
-	distT := d.bfsAll(dst, allowed, true)
-	out := make(map[int]bool)
-	if distS[dst] < 0 {
-		return out
+// MinHopArcs fills out with the arc IDs that lie on at least one
+// minimum-hop src->dst path within `allowed` (nil = all vertices).
+// Splitting across minimum paths (routing function SM) restricts flow to
+// this DAG. out must be sized for the graph's arc IDs; it is cleared
+// first, and an unreachable pair leaves it empty.
+//
+// One BFS from src suffices: arc u->v is on a minimum path exactly when
+// v is one hop further from src than u and v itself lies on a minimum
+// path to dst, which a sweep in reverse BFS order (farthest first)
+// decides for every vertex before its predecessors.
+func (d *Digraph) MinHopArcs(src, dst int, allowed, out Bits) {
+	out.Clear()
+	n := len(d.adj)
+	dist := make([]int, n)
+	for i := range dist {
+		dist[i] = -1
 	}
-	total := distS[dst]
-	for u := range d.adj {
-		if distS[u] < 0 {
+	if allowed != nil && !allowed.Has(src) {
+		return
+	}
+	dist[src] = 0
+	order := append(make([]int, 0, n), src)
+	for i := 0; i < len(order); i++ {
+		u := order[i]
+		for _, a := range d.adj[u] {
+			if dist[a.To] == -1 && (allowed == nil || allowed.Has(a.To)) {
+				dist[a.To] = dist[u] + 1
+				order = append(order, a.To)
+			}
+		}
+	}
+	if dist[dst] < 0 {
+		return
+	}
+	onPath := make([]bool, n)
+	onPath[dst] = true
+	for i := len(order) - 1; i >= 0; i-- {
+		u := order[i]
+		if dist[u] >= dist[dst] {
 			continue
 		}
 		for _, a := range d.adj[u] {
-			if allowed != nil && !allowed[a.To] {
-				continue
-			}
-			if distT[a.To] >= 0 && distS[u]+1+distT[a.To] == total {
-				out[a.ID] = true
+			if dist[a.To] == dist[u]+1 && onPath[a.To] {
+				out.Set(a.ID)
+				onPath[u] = true
 			}
 		}
 	}
-	return out
 }
 
 // BFSDistances returns hop distances from src to every vertex
@@ -174,19 +197,10 @@ func (d *Digraph) AllMinHopArcs(src, dst int, allowed []bool) map[int]bool {
 // backward (i.e. distances *to* src). Synthesized topologies use the two
 // directions to precompute their minimum-path quadrant masks.
 func (d *Digraph) BFSDistances(src int, reverse bool) []int {
-	return d.bfsAll(src, nil, reverse)
-}
-
-// bfsAll returns hop distances from src to every vertex (-1 unreachable),
-// following arcs forward or, when reverse is set, backward.
-func (d *Digraph) bfsAll(src int, allowed []bool, reverse bool) []int {
 	n := len(d.adj)
 	dist := make([]int, n)
 	for i := range dist {
 		dist[i] = -1
-	}
-	if allowed != nil && !allowed[src] {
-		return dist
 	}
 	var radj [][]Arc
 	if reverse {
@@ -209,9 +223,6 @@ func (d *Digraph) bfsAll(src int, allowed []bool, reverse bool) []int {
 		u := queue[0]
 		queue = queue[1:]
 		for _, a := range next(u) {
-			if allowed != nil && !allowed[a.To] {
-				continue
-			}
 			if dist[a.To] == -1 {
 				dist[a.To] = dist[u] + 1
 				queue = append(queue, a.To)

@@ -139,19 +139,31 @@ func TestHopDistance(t *testing.T) {
 	}
 }
 
+// countBits counts the IDs below n in b.
+func countBits(b Bits, n int) int {
+	c := 0
+	for i := 0; i < n; i++ {
+		if b.Has(i) {
+			c++
+		}
+	}
+	return c
+}
+
 func TestAllMinHopArcs(t *testing.T) {
 	d := grid(3, 3)
 	// 0 -> 8: all monotone right/down paths; the DAG has 12 arcs
 	// (each of the 12 rightward/downward arcs inside the box).
-	arcs := d.AllMinHopArcs(0, 8, nil)
-	if len(arcs) != 12 {
-		t.Errorf("min-hop DAG has %d arcs, want 12", len(arcs))
+	arcs := NewBits(d.NumArcs())
+	d.MinHopArcs(0, 8, nil, arcs)
+	if n := countBits(arcs, d.NumArcs()); n != 12 {
+		t.Errorf("min-hop DAG has %d arcs, want 12", n)
 	}
 	// Every arc in the DAG lies on a path of length 4: verify by checking
 	// dist(src,u)+1+dist(v,dst) == 4 for the arc u->v.
 	for u := 0; u < 9; u++ {
 		for _, a := range d.Out(u) {
-			if !arcs[a.ID] {
+			if !arcs.Has(a.ID) {
 				continue
 			}
 			du := d.HopDistance(0, u, nil)
@@ -162,10 +174,12 @@ func TestAllMinHopArcs(t *testing.T) {
 		}
 	}
 	// Unreachable pair yields an empty set.
-	allowed := make([]bool, 9)
-	allowed[0], allowed[8] = true, true
-	if got := d.AllMinHopArcs(0, 8, allowed); len(got) != 0 {
-		t.Errorf("disconnected min-hop DAG has %d arcs, want 0", len(got))
+	allowed := NewBits(9)
+	allowed.Set(0)
+	allowed.Set(8)
+	d.MinHopArcs(0, 8, allowed, arcs)
+	if n := countBits(arcs, d.NumArcs()); n != 0 {
+		t.Errorf("disconnected min-hop DAG has %d arcs, want 0", n)
 	}
 }
 

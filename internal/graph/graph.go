@@ -107,6 +107,9 @@ func (g *CoreGraph) Edges() []Edge {
 	return out
 }
 
+// Edge returns edge i (0 <= i < NumEdges) without copying the edge list.
+func (g *CoreGraph) Edge(i int) Edge { return g.edges[i] }
+
 // CoreIndex returns the index of the named core and whether it exists.
 func (g *CoreGraph) CoreIndex(name string) (int, bool) {
 	i, ok := g.index[name]

@@ -189,16 +189,17 @@ func (s *SPSolver) Dijkstra(d *Digraph, src int, w WeightFunc, allowed []bool) {
 // subsequent PathTo(src, dst, ...) reads — is final at settlement, so
 // single-destination callers get bit-identical paths at a fraction of the
 // work (the router graph's search frontier stops growing at dst instead
-// of sweeping the whole topology).
+// of sweeping the whole topology). The vertex restriction is a bitset
+// (nil = all), the form the topologies' per-pair tables store it in.
 //
 //sunmap:hotpath
-func (s *SPSolver) DijkstraTo(d *Digraph, src, dst int, w WeightFunc, allowed []bool) {
+func (s *SPSolver) DijkstraTo(d *Digraph, src, dst int, w WeightFunc, allowed Bits) {
 	n := len(d.adj)
 	s.reset(n)
 	if src < 0 || src >= n {
 		panic(fmt.Sprintf("graph: Dijkstra source %d out of range", src)) //sunmap:alloc panic path
 	}
-	if allowed != nil && !allowed[src] {
+	if allowed != nil && !allowed.Has(src) {
 		return
 	}
 	s.dist[src] = 0
@@ -218,7 +219,7 @@ func (s *SPSolver) DijkstraTo(d *Digraph, src, dst int, w WeightFunc, allowed []
 		}
 		du := s.dist[u]
 		for _, a := range d.adj[u] {
-			if allowed != nil && !allowed[a.To] {
+			if allowed != nil && !allowed.Has(a.To) {
 				continue
 			}
 			wt := w(u, a)
@@ -242,20 +243,20 @@ func (s *SPSolver) DijkstraTo(d *Digraph, src, dst int, w WeightFunc, allowed []
 // DijkstraLoads is DijkstraTo specialized to the routing hot path's
 // congestion weight, loads[arc]+bias, with the weight and its masks
 // inlined instead of going through a WeightFunc closure: arcs excluded by
-// the dag mask (nil = no restriction) or marked down are unreachable
+// the dag arc bitset (nil = no restriction) or marked down are unreachable
 // (exactly the closure's +Inf), everything else relaxes in the same order
 // with the same arithmetic, so paths stay bit-identical to the generic
 // solver's. This removes the indirect call per arc from the innermost
 // loop of the mapper's swap sweep.
 //
 //sunmap:hotpath
-func (s *SPSolver) DijkstraLoads(d *Digraph, src, dst int, loads []float64, bias float64, dag, down, allowed []bool) {
+func (s *SPSolver) DijkstraLoads(d *Digraph, src, dst int, loads []float64, bias float64, dag Bits, down []bool, allowed Bits) {
 	n := len(d.adj)
 	s.reset(n)
 	if src < 0 || src >= n {
 		panic(fmt.Sprintf("graph: Dijkstra source %d out of range", src)) //sunmap:alloc panic path
 	}
-	if allowed != nil && !allowed[src] {
+	if allowed != nil && !allowed.Has(src) {
 		return
 	}
 	s.dist[src] = 0
@@ -275,10 +276,10 @@ func (s *SPSolver) DijkstraLoads(d *Digraph, src, dst int, loads []float64, bias
 		}
 		du := s.dist[u]
 		for _, a := range d.adj[u] {
-			if allowed != nil && !allowed[a.To] {
+			if allowed != nil && !allowed.Has(a.To) {
 				continue
 			}
-			if dag != nil && !dag[a.ID] {
+			if dag != nil && !dag.Has(a.ID) {
 				continue
 			}
 			if down != nil && down[a.ID] {

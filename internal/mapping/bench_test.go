@@ -216,3 +216,30 @@ func BenchmarkRouteViaMapper(b *testing.B) {
 		}
 	}
 }
+
+// TestFillCommMatchesCoreGraph checks the dense core-pair tables greedy
+// placement reads against the CoreGraph methods they replace, bit for
+// bit, on seeded corpus apps (whose repeated flows between one pair make
+// the fold order matter), and that a warm Scratch refills them without
+// allocating.
+func TestFillCommMatchesCoreGraph(t *testing.T) {
+	sc := NewScratch()
+	for seed := int64(1); seed <= 4; seed++ {
+		g := apps.RandomApp(seed, 8+4*int(seed))
+		n := g.NumCores()
+		between, volume := sc.fillComm(g)
+		for i := 0; i < n; i++ {
+			if volume[i] != g.CommVolume(i) {
+				t.Fatalf("%s: volume[%d] = %v, CommVolume %v", g.Name(), i, volume[i], g.CommVolume(i))
+			}
+			for j := 0; j < n; j++ {
+				if between[i*n+j] != g.CommBetween(i, j) {
+					t.Fatalf("%s: between[%d,%d] = %v, CommBetween %v", g.Name(), i, j, between[i*n+j], g.CommBetween(i, j))
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, func() { sc.fillComm(g) }); allocs != 0 {
+			t.Errorf("%s: warm fillComm allocates %.1f objects/op, want 0", g.Name(), allocs)
+		}
+	}
+}

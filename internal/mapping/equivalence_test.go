@@ -126,16 +126,68 @@ func TestIncrementalMatchesReferenceSynthetic(t *testing.T) {
 			{"clos", mustTopo(topology.NewClos(4, 4, 4))},
 			{"star", mustTopo(topology.NewStar(13))},
 		} {
-			opts := Options{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 400}
-			fast, err := MapContextWith(ctx, g, mk.topo, opts, sc)
-			if err != nil {
-				t.Fatalf("seed %d on %s: incremental: %v", seed, mk.name, err)
+			for _, fn := range []route.Function{route.MinPath, route.SplitMin} {
+				opts := Options{Routing: fn, Objective: MinDelay, CapacityMBps: 400}
+				fast, err := MapContextWith(ctx, g, mk.topo, opts, sc)
+				if err != nil {
+					t.Fatalf("seed %d on %s (%v): incremental: %v", seed, mk.name, fn, err)
+				}
+				ref, err := mapContext(ctx, g, mk.topo, opts, nil, true)
+				if err != nil {
+					t.Fatalf("seed %d on %s (%v): reference: %v", seed, mk.name, fn, err)
+				}
+				compareResults(t, g.Name(), mk.topo.Name(), opts, fast, ref)
 			}
-			ref, err := mapContext(ctx, g, mk.topo, opts, nil, true)
-			if err != nil {
-				t.Fatalf("seed %d on %s: reference: %v", seed, mk.name, err)
-			}
-			compareResults(t, g.Name(), mk.topo.Name(), opts, fast, ref)
 		}
+	}
+}
+
+// TestIncrementalMatchesReferenceCorpus carries the equivalence gate to
+// seeded corpus apps (apps.RandomApp) at 16 and 32 cores on the mesh,
+// torus, butterfly and Clos families, under MP and SM. The capacity is
+// low enough that links overload during every sweep, so the hop bound's
+// overload walk and the dirty-link splicing both run on bigger
+// topologies than the paper apps reach.
+func TestIncrementalMatchesReferenceCorpus(t *testing.T) {
+	ctx := context.Background()
+	sc := NewScratch()
+	infeasible := 0
+	for _, tc := range []struct {
+		cores int
+		seed  int64
+		topo  string
+	}{
+		{16, 1, "mesh-4x4"},
+		{16, 2, "torus-4x4"},
+		{16, 3, "butterfly-2ary4fly"},
+		{16, 4, "clos-m4n4r4"},
+		{32, 5, "mesh-4x8"},
+		{32, 6, "torus-4x8"},
+		{32, 7, "butterfly-2ary5fly"},
+		{32, 8, "clos-m4n4r8"},
+	} {
+		g := apps.RandomApp(tc.seed, tc.cores)
+		topo, err := topology.ByName(tc.topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fn := range []route.Function{route.MinPath, route.SplitMin} {
+			opts := Options{Routing: fn, Objective: MinDelay, CapacityMBps: 600, SwapPasses: 2}
+			fast, err := MapContextWith(ctx, g, topo, opts, sc)
+			if err != nil {
+				t.Fatalf("%s on %s (%v): incremental: %v", g.Name(), tc.topo, fn, err)
+			}
+			ref, err := mapContext(ctx, g, topo, opts, nil, true)
+			if err != nil {
+				t.Fatalf("%s on %s (%v): reference: %v", g.Name(), tc.topo, fn, err)
+			}
+			compareResults(t, g.Name(), tc.topo, opts, fast, ref)
+			if !ref.BandwidthOK {
+				infeasible++
+			}
+		}
+	}
+	if infeasible == 0 {
+		t.Fatal("no corpus case overloaded a link; lower the capacity so the overload walk runs")
 	}
 }

@@ -45,6 +45,7 @@ package mapping
 import (
 	"context"
 	"math"
+	"math/bits"
 	"slices"
 
 	"sunmap/internal/area"
@@ -70,9 +71,12 @@ type Scratch struct {
 	inc incState
 	fp  *floorplan.Planner
 
-	// Greedy placement / sweep occupancy buffers.
+	// Greedy placement / sweep occupancy buffers, and the dense core-pair
+	// bandwidth tables greedy placement reads (see fillComm).
 	assign, occupant []int
 	greedyFree       []bool
+	commBetween      []float64
+	commVolume       []float64
 
 	// Full-evaluation scratch: the routing result every ev.cost call
 	// accumulates into (cloned before escaping) and the switch-area list
@@ -114,8 +118,12 @@ type incState struct {
 	hopSuffix []float64
 	// overloaded is sticky per eval: set once any link load has exceeded
 	// the capacity. While it is false every load is within capacity, so
-	// hopBound's overload term is exactly 0 and its link scan is skipped.
+	// hopBound's overload term is exactly 0 and its link walk is skipped.
+	// over holds every link seen above capacity at a commodity boundary,
+	// a superset of the links overloaded now, which hopBound walks in
+	// place of scanning every link.
 	overloaded bool
+	over       graph.Bits
 
 	// Baseline: the routed structure of every commodity under the
 	// currently accepted assignment.
@@ -125,9 +133,8 @@ type incState struct {
 	res             route.Result // loads + hop/total aggregates
 	cand            []flowRec
 	reroutedIDs     []int
-	dirtyMark       []int
-	dirtyIDs        []int
-	dirtyEpoch      int
+	dirty           graph.Bits // links where the candidate's load history diverged
+	anyDirty        bool
 	coreIn, coreOut []int
 	cfgs            []area.SwitchConfig
 	scratchEval     evalResult
@@ -232,9 +239,8 @@ func (st *incState) bind(ev *evaluator, rt *route.Router) {
 	st.reroutedIDs = st.reroutedIDs[:0]
 
 	l, r := len(st.links), st.topo.NumRouters()
-	st.dirtyMark = resizeInts(st.dirtyMark, l)
-	st.dirtyIDs = st.dirtyIDs[:0]
-	st.dirtyEpoch = 0
+	st.dirty = resizeBits(st.dirty, l)
+	st.over = resizeBits(st.over, l)
 	st.coreIn = resizeInts(st.coreIn, r)
 	st.coreOut = resizeInts(st.coreOut, r)
 	if cap(st.cfgs) < r {
@@ -260,44 +266,40 @@ const pruneSlack = 1e-10
 // link loads — which at commodity boundaries only ever grow toward the
 // final loads. So no completion of this partial evaluation can score
 // below the returned value. rec is commodity k-1's just-applied record:
-// the only links whose loads changed since the previous call, so while
-// none of them exceeds the capacity no link does and the full overload
-// scan is skipped.
+// the only links whose loads changed since the previous call. Its links
+// above capacity join st.over, so st.over covers every overloaded link
+// and walking it in ascending ID order adds the same terms in the same
+// order as a scan of every link; while no link has overloaded the walk is
+// skipped.
 func (st *incState) hopBound(res *route.Result, k int, rec *flowRec) float64 {
 	lb := (res.HopSumMBps + st.hopSuffix[k]) / st.totalMBps
 	limit := st.ev.opts.CapacityMBps
 	if limit <= 0 {
 		return lb
 	}
-	if !st.overloaded {
-		st.overloaded = recExceeds(rec, res.LinkLoads, limit)
-		if !st.overloaded {
-			return lb
+	for i := 0; i < rec.n; i++ {
+		for _, id := range rec.arcs[i] {
+			if res.LinkLoads[id] > limit {
+				st.over.Set(id)
+				st.overloaded = true
+			}
 		}
 	}
+	if !st.overloaded {
+		return lb
+	}
 	var overload float64
-	for _, l := range res.LinkLoads {
-		if l > limit {
-			overload += (l - limit) / limit
+	for w, word := range st.over {
+		for ; word != 0; word &= word - 1 {
+			if l := res.LinkLoads[w*64+bits.TrailingZeros64(word)]; l > limit {
+				overload += (l - limit) / limit
+			}
 		}
 	}
 	if overload > 0 {
 		lb *= 1 + 10*overload
 	}
 	return lb
-}
-
-// recExceeds reports whether any link on rec's paths carries more than
-// limit.
-func recExceeds(rec *flowRec, loads []float64, limit float64) bool {
-	for i := 0; i < rec.n; i++ {
-		for _, id := range rec.arcs[i] {
-			if loads[id] > limit {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // eval evaluates the current assignment. ca and cb are the cores the
@@ -334,25 +336,30 @@ func (st *incState) eval(assign []int, ca, cb int, all bool, bound float64) (e *
 	res := &st.res
 	res.Reset(len(st.links), st.topo.NumRouters())
 	st.overloaded = false
-	st.dirtyEpoch++
-	st.dirtyIDs = st.dirtyIDs[:0]
+	st.over.Clear()
+	st.dirty.Clear()
+	st.anyDirty = false
 	st.reroutedIDs = st.reroutedIDs[:0]
 
 	for k := range st.comms {
 		c := st.comms[k]
 		reroute := all || c.Src == ca || c.Dst == ca || c.Src == cb || c.Dst == cb
-		if !reroute && len(st.dirtyIDs) > 0 {
+		if !reroute && st.anyDirty {
 			// Re-route when a diverged link is one this commodity's
-			// search could read a weight from; links outside that region
+			// search could read a weight from: a link with both ends in
+			// its quadrant (MP) or on its min-hop DAG (SM), both bitsets
+			// of the topology's pair table. Links outside that region
 			// cannot influence the (deterministic) search, so the cached
 			// record is provably what a fresh run would produce.
 			switch {
 			case st.oblivious:
 				// DO paths read no loads at all.
 			case st.loadSensitive:
-				reroute = st.dirtyVisible(st.rt.Quadrant(assign[c.Src], assign[c.Dst]))
+				p := st.rt.Pair(assign[c.Src], assign[c.Dst])
+				reroute = p == nil || st.dirty.Intersects(p.QuadLinks)
 			case st.splitMin:
-				reroute = st.dirtyOnDAG(st.rt.MinHopDAG(assign[c.Src], assign[c.Dst]))
+				p := st.rt.Pair(assign[c.Src], assign[c.Dst])
+				reroute = p == nil || st.dirty.Intersects(p.DAG)
 			case st.splitAll:
 				reroute = true
 			}
@@ -489,39 +496,12 @@ func (st *incState) applySingle(res *route.Result, c graph.Commodity, verts, arc
 	res.TotalMBps += bw
 }
 
-// dirtyVisible reports whether any diverged link is inside the quadrant
-// mask (both endpoints allowed — the superset of arcs a restricted
-// Dijkstra can query).
-func (st *incState) dirtyVisible(mask []bool) bool {
-	for _, id := range st.dirtyIDs {
-		l := st.links[id]
-		if mask == nil || (mask[l.From] && mask[l.To]) {
-			return true
-		}
-	}
-	return false
-}
-
-// dirtyOnDAG reports whether any diverged link lies on the commodity's
-// minimum-hop DAG — the only arcs an SM chunk search reads loads from.
-func (st *incState) dirtyOnDAG(dag []bool) bool {
-	for _, id := range st.dirtyIDs {
-		if dag[id] {
-			return true
-		}
-	}
-	return false
-}
-
-// markRecDirty records a routing record's links as diverged,
-// deduplicated by an epoch stamp.
+// markRecDirty records a routing record's links as diverged.
 func (st *incState) markRecDirty(rec *flowRec) {
 	for i := 0; i < rec.n; i++ {
 		for _, id := range rec.arcs[i] {
-			if st.dirtyMark[id] != st.dirtyEpoch {
-				st.dirtyMark[id] = st.dirtyEpoch
-				st.dirtyIDs = append(st.dirtyIDs, id) //sunmap:alloc amortized dirty-ID scratch growth, reset per eval epoch
-			}
+			st.dirty.Set(id)
+			st.anyDirty = true
 		}
 	}
 }
@@ -653,6 +633,16 @@ func resizeInts(s []int, n int) []int {
 		s[i] = 0
 	}
 	return s
+}
+
+// resizeBits returns b resized to hold n IDs. Callers clear it before
+// use.
+func resizeBits(b graph.Bits, n int) graph.Bits {
+	w := (n + 63) / 64
+	if cap(b) < w {
+		return graph.NewBits(n)
+	}
+	return b[:w]
 }
 
 // resizeFloats returns s resized to n without zeroing (callers overwrite

@@ -333,11 +333,12 @@ func greedyInitial(g *graph.CoreGraph, topo topology.Topology, sc *Scratch) []in
 	for t := range free {
 		free[t] = true
 	}
+	between, volume := sc.fillComm(g)
 
 	// Seed core: maximum communication volume.
 	seed := 0
 	for i := 1; i < n; i++ {
-		if g.CommVolume(i) > g.CommVolume(seed) {
+		if volume[i] > volume[seed] {
 			seed = i
 		}
 	}
@@ -364,12 +365,12 @@ func greedyInitial(g *graph.CoreGraph, topo topology.Topology, sc *Scratch) []in
 			var c float64
 			for j := 0; j < n; j++ {
 				if assign[j] != -1 {
-					c += g.CommBetween(i, j)
+					c += between[i*n+j]
 				}
 			}
 			// Ties (including zero communication) break toward the core
 			// with the larger total volume, then the lower index.
-			if c > nextComm || (c == nextComm && next != -1 && g.CommVolume(i) > g.CommVolume(next)) {
+			if c > nextComm || (c == nextComm && next != -1 && volume[i] > volume[next]) {
 				next = i
 				nextComm = c
 			}
@@ -385,7 +386,7 @@ func greedyInitial(g *graph.CoreGraph, topo topology.Topology, sc *Scratch) []in
 				if assign[j] == -1 {
 					continue
 				}
-				bw := g.CommBetween(next, j)
+				bw := between[next*n+j]
 				if bw == 0 {
 					continue
 				}
@@ -400,6 +401,29 @@ func greedyInitial(g *graph.CoreGraph, topo topology.Topology, sc *Scratch) []in
 		free[bestT] = false
 	}
 	return assign
+}
+
+// fillComm fills the Scratch's dense core-pair tables from g's edges:
+// between[i*n+j] is CommBetween(i, j) and volume[i] is CommVolume(i).
+// Edges are folded in edge order, exactly as those methods sum them, so
+// every entry is bitwise equal to the method's result.
+func (sc *Scratch) fillComm(g *graph.CoreGraph) (between, volume []float64) {
+	n := g.NumCores()
+	sc.commBetween = resizeFloats(sc.commBetween, n*n)
+	sc.commVolume = resizeFloats(sc.commVolume, n)
+	between, volume = sc.commBetween, sc.commVolume
+	clear(between)
+	clear(volume)
+	for k := 0; k < g.NumEdges(); k++ {
+		e := g.Edge(k)
+		between[e.From*n+e.To] += e.BandwidthMBps
+		volume[e.From] += e.BandwidthMBps
+		if e.To != e.From {
+			between[e.To*n+e.From] += e.BandwidthMBps
+			volume[e.To] += e.BandwidthMBps
+		}
+	}
+	return between, volume
 }
 
 // evalResult carries the metrics of one candidate mapping.

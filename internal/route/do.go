@@ -55,7 +55,7 @@ func (rt *Router) PathDO(srcT, dstT int, c graph.Commodity) (verts, arcs []int, 
 	default:
 		// Butterfly (unique path), star (hub) and any future kinds:
 		// oblivious minimum-hop routing, deterministic by construction.
-		v, a, ok := rt.shortest(src, dst, graph.UnitWeight, rt.Quadrant(srcT, dstT))
+		v, a, ok := rt.shortest(src, dst, graph.UnitWeight, rt.quadrant(srcT, dstT))
 		if !ok {
 			return nil, nil, fmt.Errorf("route: DO found no path for commodity %d on %s", c.ID, topo.Name()) //sunmap:alloc error path
 		}

@@ -277,15 +277,24 @@ type accum struct {
 
 // routeSplit divides the commodity into chunks and water-fills them over
 // the minimum-hop DAG (SM) or the whole router graph (SA), recording the
-// merged structure in the Router's arena (see RouteSplitOne).
+// merged structure in the Router's arena (see RouteSplitOne). Fault-free
+// SM chunks come from the pair's enumerated paths when one is strictly
+// cheapest (see cheapestPath); every other chunk runs DijkstraLoads.
 func (rt *Router) routeSplit(srcT, dstT int, c graph.Commodity, res *Result, chunks int, minOnly, collect bool) error {
 	topo := rt.topo
 	src, dst := topo.InjectRouter(srcT), topo.EjectRouter(dstT)
-	var mask []bool
-	rt.dag = nil
+	var pair *topology.Pair
+	var mask, dag graph.Bits
 	if minOnly {
-		mask = rt.Quadrant(srcT, dstT)
-		rt.dag = rt.MinHopDAG(srcT, dstT)
+		if pair = rt.Pair(srcT, dstT); pair == nil {
+			return fmt.Errorf("route: %s carries no pair table for split-minimal routing", topo.Name()) //sunmap:alloc error path
+		}
+		mask, dag = pair.Quad, pair.DAG
+		if rt.down != nil {
+			// The enumerated paths ignore failed links; masked reroutes
+			// search the surviving DAG instead.
+			pair = nil
+		}
 	}
 	rt.loads = res.LinkLoads
 	rt.bias = hopBiasFor(c.ValueMBps)
@@ -297,7 +306,10 @@ func (rt *Router) routeSplit(srcT, dstT int, c graph.Commodity, res *Result, chu
 	acc := rt.accs[:0]
 	rt.chunkAcc = rt.chunkAcc[:0]
 	for i := 0; i < chunks; i++ {
-		verts, arcs, ok := rt.shortestLoads(src, dst, rt.dag, mask)
+		verts, arcs, ok := rt.cheapestPath(pair, src)
+		if !ok {
+			verts, arcs, ok = rt.shortestLoads(src, dst, dag, mask)
+		}
 		if !ok {
 			rt.accs = acc
 			return fmt.Errorf("route: no path for commodity %d chunk %d on %s", c.ID, i, topo.Name()) //sunmap:alloc error path
@@ -344,6 +356,56 @@ func (rt *Router) routeSplit(srcT, dstT int, c graph.Commodity, res *Result, chu
 	}
 	rt.accs = acc
 	return nil
+}
+
+// cheapestPath picks a split-routing chunk's path from the pair's
+// enumerated minimum-hop paths: the one whose weight fold
+// ((0+w1)+w2)+... under loads+bias is strictly smallest, with the fold
+// taken exactly as DijkstraLoads accumulates distances. IEEE addition of
+// a non-negative weight is monotone, so DijkstraLoads returns a path of
+// minimum fold over the DAG — which is exactly the set of enumerated
+// paths — and when one path alone reaches that minimum it is the path
+// Dijkstra returns. Only ties depend on heap pop order, so on a tie, as
+// when the pair has no enumerated paths (nil pair, more than
+// topology.MaxPairPaths paths, or none), it reports false and the caller
+// searches. A single-path pair reads no weights at all.
+func (rt *Router) cheapestPath(p *topology.Pair, src int) (verts, arcs []int, ok bool) {
+	if p == nil || p.NumPaths() == 0 {
+		return nil, nil, false
+	}
+	best := 0
+	if n := p.NumPaths(); n > 1 {
+		var bestSum float64
+		tie := false
+		for k := 0; k < n; k++ {
+			var sum float64
+			for _, id := range p.Path(k) {
+				wt := rt.loads[id] + rt.bias
+				if wt < 0 {
+					panic(fmt.Sprintf("route: negative arc weight %g on link %d", wt, id)) //sunmap:alloc panic path
+				}
+				sum += wt
+			}
+			switch {
+			case k == 0 || sum < bestSum:
+				best, bestSum, tie = k, sum, false
+			case sum == bestSum:
+				tie = true
+			}
+		}
+		if tie {
+			return nil, nil, false
+		}
+	}
+	links := rt.topo.Links()
+	verts = append(rt.verts[:0], src)
+	arcs = rt.arcs[:0]
+	for _, id := range p.Path(best) {
+		arcs = append(arcs, int(id))        //sunmap:alloc amortized growth of router arc scratch
+		verts = append(verts, links[id].To) //sunmap:alloc amortized growth of router vertex scratch
+	}
+	rt.verts, rt.arcs = verts, arcs
+	return verts, arcs, true
 }
 
 // RouteSplitOne routes one commodity with traffic splitting against res

@@ -5,15 +5,17 @@
 // Route entry point every one of those evaluations allocates dist/prev
 // arrays, a priority queue, path slices and a fresh quadrant mask per
 // commodity. A Router owns all of that scratch — a graph.SPSolver, path
-// buffers, a per-terminal-pair quadrant-mask cache and the split-routing
-// accumulator arena — so steady-state routing work allocates nothing.
+// buffers and the split-routing accumulator arena — so steady-state
+// routing work allocates nothing.
 //
 // Ownership contract: a Router is single-goroutine state. The mapper owns
 // one per Map call (or borrows one through mapping.Scratch), and
 // internal/engine keeps a free list handing each evaluation worker its own.
 // Slices returned by the path primitives (PathMP, PathDO) alias the
 // Router's buffers and are valid only until the next call on the same
-// Router.
+// Router. The per-terminal-pair tables the searches read (quadrant masks,
+// min-hop DAGs) belong to the topology, not the Router: see
+// topology.Pairs.
 package route
 
 import (
@@ -40,10 +42,6 @@ type Router struct {
 	// Split-routing (SM/SA) merged-path arena.
 	accs []accum
 
-	// dag, when non-nil, restricts load-aware searches to the active
-	// minimum-hop arc mask (SM routing).
-	dag []bool
-
 	// down, when non-nil, is the active failed-link mask
 	// (Options.DownLinks): both weight closures treat masked arcs as
 	// unreachable, so every weight-based search reroutes around them.
@@ -54,13 +52,13 @@ type Router struct {
 	// the mapper's delta evaluator replays for spliced commodities.
 	chunkAcc []int
 
-	// Quadrant-mask and min-hop-DAG caches for the bound topology,
-	// indexed src*T+dst. Entries are computed lazily and shared read-only
-	// with the solver; both depend only on the terminal pair, never on
-	// loads.
+	// topo is the bound topology and pairs its per-terminal-pair table
+	// (quadrant masks, min-hop DAGs and their enumerated paths), nil for
+	// topologies that carry none. The table belongs to the topology and
+	// is shared by every Router bound to it; holding it here keeps a
+	// weakly held table alive while bound (see topology.Pairs).
 	topo  topology.Topology
-	quads [][]bool
-	dags  [][]bool
+	pairs *topology.PairTable
 }
 
 // NewRouter returns a Router with empty scratch; buffers grow on first use.
@@ -68,52 +66,33 @@ func NewRouter() *Router {
 	return &Router{sp: graph.NewSPSolver()}
 }
 
-// Bind points the Router's quadrant cache at topo, clearing it when the
-// topology changes. Routing entry points call it implicitly.
+// Bind points the Router at topo and its pair table. Routing entry points
+// call it implicitly.
 func (rt *Router) Bind(topo topology.Topology) {
 	if rt.topo == topo {
 		return
 	}
 	rt.topo = topo
-	n := topo.NumTerminals() * topo.NumTerminals()
-	if cap(rt.quads) < n {
-		rt.quads = make([][]bool, n) //sunmap:alloc first-bind growth, recycled across topologies
-		rt.dags = make([][]bool, n)  //sunmap:alloc first-bind growth, recycled across topologies
-	}
-	rt.quads = rt.quads[:n]
-	rt.dags = rt.dags[:n]
-	for i := range rt.quads {
-		rt.quads[i] = nil
-		rt.dags[i] = nil
-	}
+	rt.pairs = topology.Pairs(topo)
 }
 
-// Quadrant returns the cached minimum-path mask for the terminal pair,
-// computing it on first use. The mask is shared and must not be mutated.
-func (rt *Router) Quadrant(srcT, dstT int) []bool {
-	i := srcT*rt.topo.NumTerminals() + dstT
-	if rt.quads[i] == nil {
-		rt.quads[i] = rt.topo.Quadrant(srcT, dstT)
+// Pair returns the bound topology's table entry for the terminal pair, or
+// nil when the topology carries no table. The entry is shared and must
+// not be mutated.
+func (rt *Router) Pair(srcT, dstT int) *topology.Pair {
+	if rt.pairs == nil {
+		return nil
 	}
-	return rt.quads[i]
+	return rt.pairs.Pair(srcT, dstT)
 }
 
-// MinHopDAG returns the cached dense arc mask of the terminal pair's
-// minimum-hop path DAG (the SM flow-splitting region), computing it on
-// first use. The mask is shared and must not be mutated.
-func (rt *Router) MinHopDAG(srcT, dstT int) []bool {
-	i := srcT*rt.topo.NumTerminals() + dstT
-	if rt.dags[i] == nil {
-		mask := rt.Quadrant(srcT, dstT)
-		src, dst := rt.topo.InjectRouter(srcT), rt.topo.EjectRouter(dstT)
-		arcSet := rt.topo.Graph().AllMinHopArcs(src, dst, mask)
-		dense := make([]bool, len(rt.topo.Links())) //sunmap:alloc once-per-terminal-pair cache fill, cold after warmup
-		for id := range arcSet {
-			dense[id] = true
-		}
-		rt.dags[i] = dense
+// quadrant returns the terminal pair's quadrant router mask, or nil (no
+// restriction) when the topology carries no pair table.
+func (rt *Router) quadrant(srcT, dstT int) graph.Bits {
+	if p := rt.Pair(srcT, dstT); p != nil {
+		return p.Quad
 	}
-	return rt.dags[i]
+	return nil
 }
 
 // PathMP computes the congestion-aware shortest path of commodity c from
@@ -121,9 +100,9 @@ func (rt *Router) MinHopDAG(srcT, dstT int) []bool {
 // minimum-path step, restricted to the quadrant graph when useQuadrant is
 // set. The returned slices alias Router scratch.
 func (rt *Router) PathMP(srcT, dstT int, c graph.Commodity, linkLoads []float64, useQuadrant bool) (verts, arcs []int, err error) {
-	var mask []bool
+	var mask graph.Bits
 	if useQuadrant {
-		mask = rt.Quadrant(srcT, dstT)
+		mask = rt.quadrant(srcT, dstT)
 	}
 	src, dst := rt.topo.InjectRouter(srcT), rt.topo.EjectRouter(dstT)
 	rt.loads = linkLoads
@@ -142,7 +121,7 @@ func (rt *Router) clearLoads() { rt.loads = nil }
 // shortest runs the solver over the bound topology's router graph, handling
 // the degenerate case where inject and eject are the same router (a
 // one-router path, as on the star hub). The search stops once dst settles.
-func (rt *Router) shortest(src, dst int, w graph.WeightFunc, mask []bool) (verts, arcs []int, ok bool) {
+func (rt *Router) shortest(src, dst int, w graph.WeightFunc, mask graph.Bits) (verts, arcs []int, ok bool) {
 	if src == dst {
 		rt.verts = append(rt.verts[:0], src)
 		rt.arcs = rt.arcs[:0]
@@ -158,7 +137,7 @@ func (rt *Router) shortest(src, dst int, w graph.WeightFunc, mask []bool) (verts
 // dag arc mask and always honoring the active down-link mask. It drives
 // the solver's closure-free fast path; results are bit-identical to the
 // generic search under the equivalent WeightFunc.
-func (rt *Router) shortestLoads(src, dst int, dag, mask []bool) (verts, arcs []int, ok bool) {
+func (rt *Router) shortestLoads(src, dst int, dag, mask graph.Bits) (verts, arcs []int, ok bool) {
 	if src == dst {
 		rt.verts = append(rt.verts[:0], src)
 		rt.arcs = rt.arcs[:0]

@@ -96,10 +96,11 @@ func (c *cand) neighbors(r int, dst []int) []int {
 // searchTopo is the throwaway topology.Topology the annealing inner loop
 // routes over. It is rebuilt in place from the current candidate before
 // every evaluation — legal because the loop routes with MinPath +
-// DisableQuadrant, so the Router consults none of its topology-keyed
-// caches (quadrant masks, min-hop DAGs) and its Bind identity check can
-// keep short-circuiting on the stable pointer. It must never escape the
-// chain that owns it; winners are materialized through topology.NewCustom
+// DisableQuadrant, and because a type outside package topology carries no
+// pair table (topology.Pairs returns nil), so no quadrant mask or min-hop
+// DAG can go stale while the Router's Bind identity check keeps
+// short-circuiting on the stable pointer. It must never escape the chain
+// that owns it; winners are materialized through topology.NewCustom
 // instead.
 type searchTopo struct {
 	terms int

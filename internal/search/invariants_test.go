@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"sunmap/internal/apps"
 	"sunmap/internal/graph"
 	"sunmap/internal/synth"
 	"sunmap/internal/topology"
@@ -72,7 +73,7 @@ func TestPropertyInvariants(t *testing.T) {
 	check := func(n int, seeds int) {
 		for s := 0; s < seeds; s++ {
 			seed := int64(s)
-			app := RandomApp(seed, n)
+			app := apps.RandomApp(seed, n)
 			for _, m := range makers {
 				topo, err := m.build(app, seed)
 				if err != nil {
@@ -157,7 +158,7 @@ func withoutFlow(g *graph.CoreGraph, i int) *graph.CoreGraph {
 // TestRandomAppDeterministic pins the generator the harness is seeded by:
 // the same (seed, n) must produce the identical graph.
 func TestRandomAppDeterministic(t *testing.T) {
-	a, b := RandomApp(11, 16), RandomApp(11, 16)
+	a, b := apps.RandomApp(11, 16), apps.RandomApp(11, 16)
 	ea, eb := a.Edges(), b.Edges()
 	if len(ea) != len(eb) {
 		t.Fatalf("edge counts differ: %d vs %d", len(ea), len(eb))

@@ -224,3 +224,13 @@ func BenchmarkSearchEval(bm *testing.B) {
 		}
 	}
 }
+
+// TestSearchTopoCarriesNoPairTable pins the rule that lets the inner
+// loop rebuild its candidate topology in place: a topology implemented
+// outside package topology never gets a pair table, so no quadrant mask
+// or min-hop DAG can outlive the structure it was computed from.
+func TestSearchTopoCarriesNoPairTable(t *testing.T) {
+	if pt := topology.Pairs(newSearchTopo(4, 4)); pt != nil {
+		t.Fatal("the search's in-place candidate topology got a pair table")
+	}
+}

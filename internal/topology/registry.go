@@ -98,9 +98,9 @@ func Enumerate(kind Kind, numCores int, opts LibraryOptions) ([]Topology, error)
 			}
 			var err error
 			if kind == Mesh {
-				err = add(NewMesh(rows, cols))
+				err = add(libraryTopology(fmt.Sprintf("mesh-%dx%d", rows, cols)))
 			} else {
-				err = add(NewTorus(rows, cols))
+				err = add(libraryTopology(fmt.Sprintf("torus-%dx%d", rows, cols)))
 			}
 			if err != nil {
 				return nil, err
@@ -111,7 +111,7 @@ func Enumerate(kind Kind, numCores int, opts LibraryOptions) ([]Topology, error)
 		for 1<<dim < numCores {
 			dim++
 		}
-		if err := add(NewHypercube(dim)); err != nil {
+		if err := add(libraryTopology(fmt.Sprintf("hypercube-%d", dim))); err != nil {
 			return nil, err
 		}
 	case Butterfly:
@@ -122,7 +122,7 @@ func Enumerate(kind Kind, numCores int, opts LibraryOptions) ([]Topology, error)
 				terms *= k
 				n++
 			}
-			if err := add(NewButterfly(k, n)); err != nil {
+			if err := add(libraryTopology(fmt.Sprintf("butterfly-%dary%dfly", k, n))); err != nil {
 				return nil, err
 			}
 		}
@@ -133,19 +133,19 @@ func Enumerate(kind Kind, numCores int, opts LibraryOptions) ([]Topology, error)
 				continue
 			}
 			for _, m := range []int{n, 2*n - 1} {
-				if err := add(NewClos(m, n, r)); err != nil {
+				if err := add(libraryTopology(fmt.Sprintf("clos-m%dn%dr%d", m, n, r))); err != nil {
 					return nil, err
 				}
 			}
 		}
 	case Octagon:
 		if numCores <= 8 {
-			if err := add(NewOctagon()); err != nil {
+			if err := add(libraryTopology("octagon")); err != nil {
 				return nil, err
 			}
 		}
 	case Star:
-		if err := add(NewStar(numCores)); err != nil {
+		if err := add(libraryTopology(fmt.Sprintf("star-%d", numCores))); err != nil {
 			return nil, err
 		}
 	default:
@@ -194,7 +194,7 @@ func Library(numCores int, opts LibraryOptions) ([]Topology, error) {
 // synthesized networks registered in this process (internal/synth) are
 // addressable the same way as library members.
 func ByName(name string) (Topology, error) {
-	if t, err := byLibraryName(name); err == nil {
+	if t, err := libraryTopology(name); err == nil {
 		return t, nil
 	}
 	if t, ok := lookupCustom(name); ok {

@@ -16,6 +16,7 @@ package topology
 import (
 	"fmt"
 	"sync"
+	"weak"
 
 	"sunmap/internal/graph"
 )
@@ -173,6 +174,13 @@ type base struct {
 	// shared across engine workers, hence the sync.Once guard.
 	minHopsOnce sync.Once
 	minHops     []int // src*numTerminals+dst -> routers traversed (-1 unreachable)
+
+	// The per-terminal-pair routing table (see Pairs), shared across
+	// engine workers like minHops: pinned for interned library
+	// topologies, otherwise held weakly and rebuilt under pairsMu.
+	pinned  *PairTable
+	pairsMu sync.Mutex
+	pairs   weak.Pointer[PairTable]
 }
 
 func newBase(name string, kind Kind, numRouters, numTerminals int) *base {
