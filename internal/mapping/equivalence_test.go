@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"sunmap/internal/apps"
@@ -189,5 +190,66 @@ func TestIncrementalMatchesReferenceCorpus(t *testing.T) {
 	}
 	if infeasible == 0 {
 		t.Fatal("no corpus case overloaded a link; lower the capacity so the overload walk runs")
+	}
+}
+
+// TestSwapEvalMatchesFreshRoute checks the delta evaluator candidate by
+// candidate rather than by final outcome: through a whole first-improvement
+// pass, every candidate's spliced link loads must equal a from-scratch
+// routing of the same assignment bit for bit. Congested corpus apps make
+// quadrant detours common, so a dirty-link test that misses part of a
+// commodity's search region shows up here even when the sweep's
+// decisions happen to survive it.
+func TestSwapEvalMatchesFreshRoute(t *testing.T) {
+	for _, tc := range []struct {
+		g    *graph.CoreGraph
+		topo string
+		fn   route.Function
+	}{
+		{apps.RandomApp(3, 16), "mesh-4x4", route.MinPath},
+		{apps.RandomApp(4, 16), "torus-4x4", route.MinPath},
+		{apps.RandomApp(5, 12), "mesh-3x5", route.MinPath},
+		{apps.RandomApp(3, 16), "mesh-4x4", route.SplitMin},
+		{apps.MPEG4(), "mesh-3x4", route.MinPath},
+	} {
+		topo, err := topology.ByName(tc.topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Routing: tc.fn, Objective: MinDelay, CapacityMBps: 300}
+		st, assign, occupant := benchSweepState(t, tc.g, topo, opts)
+		ropts := st.ev.opts.RouteOptions()
+		ropts.LoadsOnly = true
+		rt := route.NewRouter()
+		var fresh route.Result
+		cur := math.Inf(1)
+		for a := 0; a < topo.NumTerminals(); a++ {
+			for b := a + 1; b < topo.NumTerminals(); b++ {
+				if occupant[a] == -1 && occupant[b] == -1 {
+					continue
+				}
+				ca, cb := occupant[a], occupant[b]
+				swapTerminals(assign, occupant, a, b)
+				cand, _, err := st.eval(assign, ca, cb, false, math.Inf(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := rt.RouteInto(&fresh, topo, assign, st.comms, ropts); err != nil {
+					t.Fatal(err)
+				}
+				for id, l := range fresh.LinkLoads {
+					if math.Float64bits(st.res.LinkLoads[id]) != math.Float64bits(l) {
+						t.Fatalf("%s on %s (%v), swap %d<->%d: link %d load %v, fresh route %v",
+							tc.g.Name(), tc.topo, tc.fn, a, b, id, st.res.LinkLoads[id], l)
+					}
+				}
+				if c := st.ev.objective(cand); c < cur {
+					cur = c
+					st.promote()
+				} else {
+					swapTerminals(assign, occupant, a, b)
+				}
+			}
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"sync"
 	"sync/atomic"
 	"weak"
 
@@ -188,47 +187,4 @@ func (p *Pair) walk(g *graph.Digraph, u, d, n int, stack []int32, buf *[]int32) 
 		}
 	}
 	return n, true
-}
-
-// interned holds the library topologies built through ByName and
-// Enumerate, keyed by canonical name, so their pair tables and min-hop
-// memo outlive a single selection. Library topologies are immutable, so
-// sharing one instance across sessions and goroutines is safe. The table
-// stops growing at internCap names; later names are built fresh (with a
-// weakly held pair table, see Pairs).
-var interned struct {
-	sync.Mutex
-	m map[string]Topology
-}
-
-// internCap bounds the intern table (a 12-core library has about 15
-// configurations, a 64-core one about 20).
-const internCap = 128
-
-// libraryTopology returns the interned library topology called name,
-// building (and, below the cap, interning) it on first use.
-func libraryTopology(name string) (Topology, error) {
-	interned.Lock()
-	t, ok := interned.m[name]
-	interned.Unlock()
-	if ok {
-		return t, nil
-	}
-	t, err := byLibraryName(name)
-	if err != nil {
-		return nil, err
-	}
-	interned.Lock()
-	defer interned.Unlock()
-	if prev, ok := interned.m[name]; ok {
-		return prev, nil
-	}
-	if len(interned.m) < internCap {
-		if interned.m == nil {
-			interned.m = make(map[string]Topology)
-		}
-		t.(interface{ pin(Topology) }).pin(t)
-		interned.m[name] = t
-	}
-	return t, nil
 }
