@@ -11,32 +11,37 @@ import (
 	"sunmap/internal/topology"
 )
 
-// benchCases are the ISSUE-4 tracked configurations: the two hot apps
-// under the two objectives the swap loop most often runs with. Results
-// land in BENCH_4.json via scripts/bench.sh.
+// benchCases are the tracked configurations: the two hot apps under the
+// two objectives the swap loop most often runs with on a 3x4 mesh, and
+// mpeg4 min-delay on a Clos network, whose MP paths come from the pair
+// table and whose sweep skips swaps within one switch. Results land in
+// BENCH_*.json via scripts/bench.sh.
 var benchCases = []struct {
 	name string
+	topo string
 	app  func() *graph.CoreGraph
 	opts Options
 }{
-	{"vopd/min-delay", apps.VOPD, Options{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 500}},
-	{"vopd/weighted", apps.VOPD, Options{Routing: route.MinPath, Objective: Weighted,
+	{"vopd/min-delay", "mesh-3x4", apps.VOPD, Options{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 500}},
+	{"vopd/weighted", "mesh-3x4", apps.VOPD, Options{Routing: route.MinPath, Objective: Weighted,
 		Weights: Weights{Delay: 1, Area: 1, Power: 1}, CapacityMBps: 500}},
-	{"mpeg4/min-delay", apps.MPEG4, Options{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 500}},
-	{"mpeg4/weighted", apps.MPEG4, Options{Routing: route.MinPath, Objective: Weighted,
+	{"mpeg4/min-delay", "mesh-3x4", apps.MPEG4, Options{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 500}},
+	{"mpeg4/weighted", "mesh-3x4", apps.MPEG4, Options{Routing: route.MinPath, Objective: Weighted,
 		Weights: Weights{Delay: 1, Area: 1, Power: 1}, CapacityMBps: 500}},
+	{"mpeg4/min-delay/clos-m4n4r3/MP", "clos-m4n4r3", apps.MPEG4, Options{Routing: route.MinPath, Objective: MinDelay, CapacityMBps: 500}},
+	{"mpeg4/min-delay/clos-m4n4r3/SM", "clos-m4n4r3", apps.MPEG4, Options{Routing: route.SplitMin, Objective: MinDelay, CapacityMBps: 500}},
 }
 
 // BenchmarkMap times one full Map call (greedy seed, incremental swap
-// search, final LP floorplan) on a 3x4 mesh, and — under the swap-eval
-// sub-benchmarks — the steady-state cost of evaluating one candidate swap,
-// which must stay at 0 allocs/op. Run with:
+// search, final LP floorplan) per tracked configuration, and — under the
+// swap-eval sub-benchmarks — the steady-state cost of evaluating one
+// candidate swap, which must stay at 0 allocs/op. Run with:
 //
 //	go test -bench BenchmarkMap -benchmem ./internal/mapping
 func BenchmarkMap(b *testing.B) {
 	for _, tc := range benchCases {
 		g := tc.app()
-		topo := mustTopo(topology.NewMesh(3, 4))
+		topo := mustTopo(topology.ByName(tc.topo))
 		b.Run(tc.name+"/full", func(b *testing.B) {
 			sc := NewScratch()
 			b.ReportAllocs()
@@ -48,7 +53,7 @@ func BenchmarkMap(b *testing.B) {
 		})
 		b.Run(tc.name+"/swap-eval", func(b *testing.B) {
 			st, assign, occupant := benchSweepState(b, g, topo, tc.opts)
-			pairA, pairB := benchSwapPair(occupant)
+			pairA, pairB := benchSwapPair(topo, occupant)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -89,8 +94,9 @@ func benchSweepState(tb testing.TB, g *graph.CoreGraph, topo topology.Topology, 
 	return st, assign, occupant
 }
 
-// benchSwapPair picks two occupied terminals to toggle.
-func benchSwapPair(occupant []int) (int, int) {
+// benchSwapPair picks two occupied terminals on different routers to
+// toggle: the sweep skips swaps within one router.
+func benchSwapPair(topo topology.Topology, occupant []int) (int, int) {
 	a := -1
 	for t, c := range occupant {
 		if c == -1 {
@@ -100,9 +106,11 @@ func benchSwapPair(occupant []int) (int, int) {
 			a = t
 			continue
 		}
-		return a, t
+		if topo.InjectRouter(t) != topo.InjectRouter(a) {
+			return a, t
+		}
 	}
-	panic("fewer than two occupied terminals")
+	panic("no two occupied terminals on different routers")
 }
 
 // TestSwapEvalAllocFree is the hard gate behind the swap-eval benchmark:
@@ -112,14 +120,15 @@ func TestSwapEvalAllocFree(t *testing.T) {
 	cases := benchCases
 	cases = append(cases, struct {
 		name string
+		topo string
 		app  func() *graph.CoreGraph
 		opts Options
-	}{"vopd/do", apps.VOPD, Options{Routing: route.DimensionOrdered, Objective: MinDelay, CapacityMBps: 500}})
+	}{"vopd/do", "mesh-3x4", apps.VOPD, Options{Routing: route.DimensionOrdered, Objective: MinDelay, CapacityMBps: 500}})
 	for _, tc := range cases {
 		g := tc.app()
-		topo := mustTopo(topology.NewMesh(3, 4))
+		topo := mustTopo(topology.ByName(tc.topo))
 		st, assign, occupant := benchSweepState(t, g, topo, tc.opts)
-		pairA, pairB := benchSwapPair(occupant)
+		pairA, pairB := benchSwapPair(topo, occupant)
 		run := func() {
 			ca, cb := occupant[pairA], occupant[pairB]
 			swapTerminals(assign, occupant, pairA, pairB)
@@ -159,7 +168,7 @@ func TestFullEvalAllocBudget(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range benchCases {
 		g := tc.app()
-		topo := mustTopo(topology.NewMesh(3, 4))
+		topo := mustTopo(topology.ByName(tc.topo))
 		sc := NewScratch()
 		run := func() {
 			if _, err := MapContextWith(ctx, g, topo, tc.opts, sc); err != nil {

@@ -169,6 +169,9 @@ func sweepIncremental(ctx context.Context, ev *evaluator, assign, occupant []int
 				if occupant[a] == -1 && occupant[b] == -1 {
 					continue
 				}
+				if st.swapIsNoop(a, b) {
+					continue
+				}
 				bound := math.Inf(1)
 				if usePrune {
 					bound = curCost
@@ -198,6 +201,18 @@ func sweepIncremental(ctx context.Context, ev *evaluator, assign, occupant []int
 		}
 	}
 	return swaps, nil
+}
+
+// swapIsNoop reports whether swapping terminals a and b provably leaves
+// the in-loop cost unchanged: both share their inject and their eject
+// router, so every commodity keeps its router pair. MP, SM and SA paths,
+// the switch configs and the in-loop cost read router pairs and loads
+// only, so the candidate scores exactly the current cost and the
+// reference sweep rejects it. DO is never skipped: Clos DO picks its
+// middle switch by terminal.
+func (st *incState) swapIsNoop(a, b int) bool {
+	return !st.oblivious && st.topo.InjectRouter(a) == st.topo.InjectRouter(b) &&
+		st.topo.EjectRouter(a) == st.topo.EjectRouter(b)
 }
 
 // bind attaches the evaluator state to one Map call, resizing buffers and

@@ -55,7 +55,11 @@ func (rt *Router) PathDO(srcT, dstT int, c graph.Commodity) (verts, arcs []int, 
 	default:
 		// Butterfly (unique path), star (hub) and any future kinds:
 		// oblivious minimum-hop routing, deterministic by construction.
-		v, a, ok := rt.shortest(src, dst, graph.UnitWeight, rt.quadrant(srcT, dstT))
+		var mask graph.Bits
+		if p := rt.Pair(srcT, dstT); p != nil {
+			mask = p.Quad
+		}
+		v, a, ok := rt.shortest(src, dst, graph.UnitWeight, mask)
 		if !ok {
 			return nil, nil, fmt.Errorf("route: DO found no path for commodity %d on %s", c.ID, topo.Name()) //sunmap:alloc error path
 		}

@@ -358,12 +358,13 @@ func (rt *Router) routeSplit(srcT, dstT int, c graph.Commodity, res *Result, chu
 	return nil
 }
 
-// cheapestPath picks a split-routing chunk's path from the pair's
-// enumerated minimum-hop paths: the one whose weight fold
-// ((0+w1)+w2)+... under loads+bias is strictly smallest, with the fold
-// taken exactly as DijkstraLoads accumulates distances. IEEE addition of
-// a non-negative weight is monotone, so DijkstraLoads returns a path of
-// minimum fold over the DAG — which is exactly the set of enumerated
+// cheapestPath picks a path from the pair's enumerated minimum-hop paths,
+// for a split-routing chunk or for an MP commodity whose quadrant is its
+// DAG: the one whose weight fold ((0+w1)+w2)+... under loads+bias is
+// strictly smallest, with the fold taken exactly as DijkstraLoads
+// accumulates distances. IEEE addition of a non-negative weight is
+// monotone, so DijkstraLoads returns a path of minimum fold over its
+// search region — here the DAG, which is exactly the set of enumerated
 // paths — and when one path alone reaches that minimum it is the path
 // Dijkstra returns. Only ties depend on heap pop order, so on a tie, as
 // when the pair has no enumerated paths (nil pair, more than

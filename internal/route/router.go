@@ -13,9 +13,9 @@
 // internal/engine keeps a free list handing each evaluation worker its own.
 // Slices returned by the path primitives (PathMP, PathDO) alias the
 // Router's buffers and are valid only until the next call on the same
-// Router. The per-terminal-pair tables the searches read (quadrant masks,
-// min-hop DAGs) belong to the topology, not the Router: see
-// topology.Pairs.
+// Router. The per-router-pair tables the searches read (quadrant masks,
+// min-hop DAGs and their paths) belong to the topology, not the Router:
+// see topology.Pairs.
 package route
 
 import (
@@ -52,7 +52,7 @@ type Router struct {
 	// the mapper's delta evaluator replays for spliced commodities.
 	chunkAcc []int
 
-	// topo is the bound topology and pairs its per-terminal-pair table
+	// topo is the bound topology and pairs its per-router-pair table
 	// (quadrant masks, min-hop DAGs and their enumerated paths), nil for
 	// topologies that carry none. The table belongs to the topology and
 	// is shared by every Router bound to it; holding it here keeps a
@@ -86,28 +86,32 @@ func (rt *Router) Pair(srcT, dstT int) *topology.Pair {
 	return rt.pairs.Pair(srcT, dstT)
 }
 
-// quadrant returns the terminal pair's quadrant router mask, or nil (no
-// restriction) when the topology carries no pair table.
-func (rt *Router) quadrant(srcT, dstT int) graph.Bits {
-	if p := rt.Pair(srcT, dstT); p != nil {
-		return p.Quad
-	}
-	return nil
-}
-
 // PathMP computes the congestion-aware shortest path of commodity c from
 // terminal srcT to dstT given the current per-link loads — the Fig. 5
 // minimum-path step, restricted to the quadrant graph when useQuadrant is
-// set. The returned slices alias Router scratch.
+// set. When the pair's quadrant holds only its min-hop DAG
+// (topology.Pair.QuadIsDAG) and no link is down, the quadrant search
+// region is exactly the enumerated paths, so the path comes from
+// cheapestPath and DijkstraLoads runs only when that reports false. The
+// returned slices alias Router scratch.
 func (rt *Router) PathMP(srcT, dstT int, c graph.Commodity, linkLoads []float64, useQuadrant bool) (verts, arcs []int, err error) {
+	var pair *topology.Pair
 	var mask graph.Bits
 	if useQuadrant {
-		mask = rt.quadrant(srcT, dstT)
+		if pair = rt.Pair(srcT, dstT); pair != nil {
+			mask = pair.Quad
+			if !pair.QuadIsDAG || rt.down != nil {
+				pair = nil
+			}
+		}
 	}
 	src, dst := rt.topo.InjectRouter(srcT), rt.topo.EjectRouter(dstT)
 	rt.loads = linkLoads
 	rt.bias = hopBiasFor(c.ValueMBps)
-	verts, arcs, ok := rt.shortestLoads(src, dst, nil, mask)
+	verts, arcs, ok := rt.cheapestPath(pair, src)
+	if !ok {
+		verts, arcs, ok = rt.shortestLoads(src, dst, nil, mask)
+	}
 	rt.loads = nil
 	if !ok {
 		return nil, nil, fmt.Errorf("route: no path for commodity %d (terminals %d->%d) on %s", //sunmap:alloc error path

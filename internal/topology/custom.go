@@ -1,6 +1,9 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // CustomSpec describes an arbitrary topology for NewCustom — the escape
 // hatch the synthesized (application-specific) topologies of internal/synth
@@ -29,15 +32,15 @@ type CustomSpec struct {
 }
 
 // customTopology is an arbitrary synthesized network. Unlike the library
-// families it has no closed-form quadrant; per-pair masks are precomputed
-// from BFS distances so minimum-path routing still searches a restricted
+// families it has no closed-form quadrant; per-pair masks are derived from
+// BFS hop distances so minimum-path routing still searches a restricted
 // region (the union of all minimum paths, the defining property of
 // Section 4.3).
 type customTopology struct {
 	*base
-	// quad[s*numRouters+d] is the allowed-router mask for traffic entering
-	// at router s and leaving at router d.
-	quad [][]bool
+	// hops[s*numRouters+d] is the hop distance from router s to router d,
+	// -1 when d is unreachable from s.
+	hops []int16
 }
 
 // NewCustom builds and validates a topology from an explicit specification.
@@ -46,7 +49,7 @@ func NewCustom(spec CustomSpec) (Topology, error) {
 	if spec.Name == "" {
 		return nil, fmt.Errorf("topology: custom topology needs a name")
 	}
-	if spec.NumRouters < 1 {
+	if spec.NumRouters < 1 || spec.NumRouters > math.MaxInt16 {
 		return nil, fmt.Errorf("topology: custom %s has %d routers", spec.Name, spec.NumRouters)
 	}
 	if len(spec.Terminals) < 1 {
@@ -89,51 +92,44 @@ func NewCustom(spec CustomSpec) (Topology, error) {
 	for r := range spec.RouterPos {
 		c.pos[r] = spec.RouterPos[r]
 	}
-	c.buildQuadrants()
+	c.buildHops()
 	if err := Validate(c); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// buildQuadrants precomputes, for every router pair (s,d), the set of
-// routers lying on at least one minimum-hop s->d path: router u qualifies
-// when dist(s,u) + dist(u,d) equals dist(s,d). The masks therefore preserve
-// minimum distances by construction. Pairs with no path fall back to the
-// full-router mask so the disconnection surfaces as a routing error rather
-// than a silently wrong restriction.
-func (c *customTopology) buildQuadrants() {
+// buildHops fills the router hop-distance table, one BFS per router.
+func (c *customTopology) buildHops() {
 	n := c.NumRouters()
-	fwd := make([][]int, n) // fwd[s][u]: hop distance s->u
-	bwd := make([][]int, n) // bwd[d][u]: hop distance u->d
-	for r := 0; r < n; r++ {
-		fwd[r] = c.rg.BFSDistances(r, false)
-		bwd[r] = c.rg.BFSDistances(r, true)
-	}
-	c.quad = make([][]bool, n*n)
+	c.hops = make([]int16, n*n)
 	for s := 0; s < n; s++ {
-		for d := 0; d < n; d++ {
-			total := fwd[s][d]
-			if total < 0 {
-				c.quad[s*n+d] = c.allRouters()
-				continue
-			}
-			mask := make([]bool, n)
-			for u := 0; u < n; u++ {
-				if fwd[s][u] >= 0 && bwd[d][u] >= 0 && fwd[s][u]+bwd[d][u] == total {
-					mask[u] = true
-				}
-			}
-			c.quad[s*n+d] = mask
+		for d, h := range c.rg.BFSDistances(s, false) {
+			c.hops[s*n+d] = int16(h)
 		}
 	}
 }
 
-// Quadrant returns a copy of the precomputed minimum-path mask for the
-// terminal pair's routers.
+// Quadrant returns the minimum-path mask of the terminal pair's routers.
 func (c *customTopology) Quadrant(src, dst int) []bool {
-	mask := c.quad[c.inject[src]*c.NumRouters()+c.eject[dst]]
-	out := make([]bool, len(mask))
-	copy(out, mask)
-	return out
+	return c.quadrant(c.inject[src], c.eject[dst])
+}
+
+// quadrant returns the routers lying on at least one minimum-hop s->d
+// path: router u qualifies when dist(s,u) + dist(u,d) equals dist(s,d).
+// The mask therefore preserves the minimum distance by construction. A
+// pair with no path gets the full-router mask so the disconnection
+// surfaces as a routing error rather than a silently wrong restriction.
+func (c *customTopology) quadrant(s, d int) []bool {
+	n := c.NumRouters()
+	total := int(c.hops[s*n+d])
+	if total < 0 {
+		return c.allRouters()
+	}
+	mask := make([]bool, n)
+	for u := range mask {
+		su, ud := int(c.hops[s*n+u]), int(c.hops[u*n+d])
+		mask[u] = su >= 0 && ud >= 0 && su+ud == total
+	}
+	return mask
 }

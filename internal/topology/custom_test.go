@@ -1,6 +1,9 @@
 package topology
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -144,5 +147,104 @@ func TestLibraryOptionsRejectInvalid(t *testing.T) {
 	}
 	if ts, err := Enumerate(Butterfly, 8, LibraryOptions{MaxButterflyRadix: 2}); err != nil || len(ts) == 0 {
 		t.Errorf("explicit radix 2 broke: %v (%d topologies)", err, len(ts))
+	}
+}
+
+// randomCustomSpec builds a seeded synthesized spec: a connected random
+// graph over the first `live` routers carrying every terminal (a spanning
+// tree plus extra links), and, past it, routers joined only among
+// themselves, so pairs across the two parts are unreachable.
+func randomCustomSpec(seed int64, live, dead int) CustomSpec {
+	rng := rand.New(rand.NewSource(seed))
+	n := live + dead
+	spec := CustomSpec{
+		Name:       fmt.Sprintf("synth-quad-%d", seed),
+		NumRouters: n,
+		RouterPos:  make([][2]float64, n),
+	}
+	seen := map[[2]int]bool{}
+	link := func(u, v int) {
+		key := [2]int{min(u, v), max(u, v)}
+		if u != v && !seen[key] {
+			seen[key] = true
+			spec.BiLinks = append(spec.BiLinks, key)
+		}
+	}
+	for v := 1; v < live; v++ {
+		link(rng.Intn(v), v)
+	}
+	for i := 0; i < live; i++ {
+		link(rng.Intn(live), rng.Intn(live))
+	}
+	for v := live + 1; v < n; v++ {
+		link(live+rng.Intn(v-live), v)
+	}
+	for r := range spec.RouterPos {
+		spec.RouterPos[r] = [2]float64{float64(r % 4), float64(r / 4)}
+	}
+	for t := 0; t < live+live/2; t++ {
+		r := t % live
+		if t >= live {
+			r = rng.Intn(live)
+		}
+		spec.Terminals = append(spec.Terminals, r)
+		spec.TerminalPos = append(spec.TerminalPos, spec.RouterPos[r])
+	}
+	return spec
+}
+
+// TestCustomQuadrantMatchesBFS checks the on-demand quadrant of every
+// router pair of seeded synthesized topologies — one with routers
+// unreachable from the terminals' part — against its two-BFS
+// definition: router u qualifies when the forward distance s->u plus the
+// backward distance u->d equals dist(s,d), and an unreachable pair
+// admits every router.
+func TestCustomQuadrantMatchesBFS(t *testing.T) {
+	specs := []CustomSpec{randomCustomSpec(1, 12, 3)}
+	for seed := int64(2); seed <= 6; seed++ {
+		specs = append(specs, randomCustomSpec(seed, 4+3*int(seed), 0))
+	}
+	unreachable := 0
+	for _, spec := range specs {
+		topo, err := NewCustom(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := topo.(*customTopology)
+		g, n := c.Graph(), c.NumRouters()
+		bwdFrom := make([][]int, n) // bwdFrom[d][u]: hop distance u->d
+		for d := range bwdFrom {
+			bwdFrom[d] = g.BFSDistances(d, true)
+		}
+		for s := 0; s < n; s++ {
+			fwd := g.BFSDistances(s, false)
+			for d := 0; d < n; d++ {
+				bwd := bwdFrom[d]
+				want := make([]bool, n)
+				for u := range want {
+					if fwd[d] < 0 {
+						want[u] = true
+					} else {
+						want[u] = fwd[u] >= 0 && bwd[u] >= 0 && fwd[u]+bwd[u] == fwd[d]
+					}
+				}
+				if fwd[d] < 0 {
+					unreachable++
+				}
+				if got := c.quadrant(s, d); !slices.Equal(got, want) {
+					t.Fatalf("%s routers %d->%d: quadrant %v, two-BFS definition %v", spec.Name, s, d, got, want)
+				}
+			}
+		}
+		for s := 0; s < c.NumTerminals(); s++ {
+			for d := 0; d < c.NumTerminals(); d++ {
+				if !slices.Equal(c.Quadrant(s, d), c.quadrant(c.InjectRouter(s), c.EjectRouter(d))) {
+					t.Fatalf("%s terminals %d->%d: Quadrant differs from its routers' mask", spec.Name, s, d)
+				}
+			}
+		}
+	}
+	if unreachable == 0 {
+		t.Fatal("no unreachable router pair was checked")
 	}
 }

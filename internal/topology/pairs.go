@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"sync/atomic"
 	"weak"
 
@@ -27,6 +28,12 @@ type Pair struct {
 	// inside the quadrant: the region split-minimal routing spreads a
 	// commodity over.
 	DAG graph.Bits
+	// QuadIsDAG reports that QuadLinks equals DAG word for word: every
+	// arc inside the quadrant lies on a minimum-hop path, so a
+	// quadrant-restricted search covers exactly the DAG's paths. It holds
+	// for every butterfly and Clos pair and every pair whose inject and
+	// eject router coincide.
+	QuadIsDAG bool
 
 	paths    []int32 // numPaths paths of hops link IDs each, path-major
 	hops     int32   // links on every DAG path
@@ -154,6 +161,7 @@ func newPair(t Topology, src, dst int) *Pair {
 	}
 	s, d := t.InjectRouter(src), t.EjectRouter(dst)
 	g.MinHopArcs(s, d, p.Quad, p.DAG)
+	p.QuadIsDAG = slices.Equal(p.QuadLinks, p.DAG)
 	var buf []int32
 	if n, ok := p.walk(g, s, d, 0, nil, &buf); ok && n > 0 {
 		p.paths = append([]int32(nil), buf...) //sunmap:alloc once-per-router-pair table fill, cold after warmup

@@ -145,7 +145,8 @@ func countDAGPaths(g *graph.Digraph, dag graph.Bits, u, d int, memo map[int]int)
 // topology's Quadrant, QuadLinks the links with both ends inside it, DAG
 // the min-hop arc set (from hop distances), and the enumerated paths
 // exactly the DAG's
-// inject->eject paths when there are at most MaxPairPaths of them.
+// inject->eject paths when there are at most MaxPairPaths of them, and
+// QuadIsDAG set exactly when every quadrant link is a DAG link.
 func TestPairTableMatchesTopology(t *testing.T) {
 	enumerated, tooMany := 0, 0
 	custom, err := NewCustom(CustomSpec{
@@ -206,6 +207,15 @@ func TestPairTableMatchesTopology(t *testing.T) {
 				}
 				if !slices.Equal(p.DAG, dag) {
 					t.Fatalf("%s: DAG bits differ from the min-hop definition", tag)
+				}
+				quadIsDAG := true
+				for _, l := range topo.Links() {
+					if qmask[l.From] && qmask[l.To] && !dag.Has(l.ID) {
+						quadIsDAG = false
+					}
+				}
+				if p.QuadIsDAG != quadIsDAG {
+					t.Fatalf("%s: QuadIsDAG = %v, definition says %v", tag, p.QuadIsDAG, quadIsDAG)
 				}
 				want := countDAGPaths(g, dag, src, dst, map[int]int{})
 				if want > MaxPairPaths {
@@ -284,5 +294,35 @@ func TestPairTableConcurrentFill(t *testing.T) {
 	}
 	if pt.Filled() != n*n {
 		t.Fatalf("Filled() = %d, want %d", pt.Filled(), n*n)
+	}
+}
+
+// TestPairQuadIsDAGPerFamily pins which families route MP from the
+// enumerated paths: QuadIsDAG holds for every butterfly and Clos pair and
+// for every pair whose inject and eject router coincide, and fails for
+// every mesh, torus, hypercube and octagon pair with distinct routers,
+// whose quadrants hold links that lead away from the destination.
+func TestPairQuadIsDAGPerFamily(t *testing.T) {
+	for _, name := range []string{
+		"butterfly-2ary3fly", "butterfly-4ary2fly", "clos-m3n2r4", "clos-m4n4r4", "star-6",
+		"mesh-3x4", "mesh-4x5", "torus-3x4", "torus-4x4", "hypercube-4", "octagon",
+	} {
+		topo, err := byLibraryName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		always := topo.Kind() == Butterfly || topo.Kind() == Clos
+		pt := Pairs(topo)
+		for s := 0; s < topo.NumTerminals(); s++ {
+			for d := 0; d < topo.NumTerminals(); d++ {
+				if s == d {
+					continue
+				}
+				want := always || topo.InjectRouter(s) == topo.EjectRouter(d)
+				if got := pt.Pair(s, d).QuadIsDAG; got != want {
+					t.Fatalf("%s %d->%d: QuadIsDAG = %v, want %v", name, s, d, got, want)
+				}
+			}
+		}
 	}
 }

@@ -175,7 +175,7 @@ type base struct {
 	minHopsOnce sync.Once
 	minHops     []int // src*numTerminals+dst -> routers traversed (-1 unreachable)
 
-	// The per-terminal-pair routing table (see Pairs), shared across
+	// The per-router-pair routing table (see Pairs), shared across
 	// engine workers like minHops: pinned for interned library
 	// topologies, otherwise held weakly and rebuilt under pairsMu.
 	pinned  *PairTable
