@@ -94,19 +94,6 @@ func (d *Digraph) Dijkstra(src int, w WeightFunc, allowed []bool) (dist []float6
 	return dist, prevV, prevArc
 }
 
-// ShortestPath returns the vertex sequence and arc-ID sequence of a
-// shortest src->dst path under w restricted to `allowed` (nil = all). The
-// boolean reports reachability.
-func (d *Digraph) ShortestPath(src, dst int, w WeightFunc, allowed []bool) (verts, arcs []int, ok bool) {
-	var s SPSolver
-	s.Dijkstra(d, src, w, allowed)
-	verts, arcs, ok = s.PathTo(src, dst, nil, nil)
-	if !ok {
-		return nil, nil, false
-	}
-	return verts, arcs, true
-}
-
 // HopDistance returns the minimum hop count (arc count) from src to dst
 // within `allowed`, or -1 if unreachable. It runs a plain BFS.
 func (d *Digraph) HopDistance(src, dst int, allowed []bool) int {

@@ -45,9 +45,18 @@ func TestDijkstraUnitGrid(t *testing.T) {
 	}
 }
 
+// shortestPath returns the vertex sequence and arc-ID sequence of a
+// shortest src->dst path under w restricted to `allowed` (nil = all). The
+// boolean reports reachability.
+func shortestPath(d *Digraph, src, dst int, w WeightFunc, allowed []bool) (verts, arcs []int, ok bool) {
+	var s SPSolver
+	s.Dijkstra(d, src, w, allowed)
+	return s.PathTo(src, dst, nil, nil)
+}
+
 func TestShortestPathRecovery(t *testing.T) {
 	d := grid(3, 4)
-	verts, arcs, ok := d.ShortestPath(0, 11, UnitWeight, nil)
+	verts, arcs, ok := shortestPath(d, 0, 11, UnitWeight, nil)
 	if !ok {
 		t.Fatal("no path found")
 	}
@@ -106,7 +115,7 @@ func TestDijkstraWeightFunc(t *testing.T) {
 		}
 		return 1
 	}
-	verts, _, ok := d.ShortestPath(0, 3, w, nil)
+	verts, _, ok := shortestPath(d, 0, 3, w, nil)
 	if !ok || len(verts) != 4 {
 		t.Fatalf("path %v ok=%v, want detour of 4 vertices", verts, ok)
 	}
@@ -117,7 +126,7 @@ func TestDijkstraWeightFunc(t *testing.T) {
 		}
 		return 10
 	}
-	verts, _, ok = d.ShortestPath(0, 3, w2, nil)
+	verts, _, ok = shortestPath(d, 0, 3, w2, nil)
 	if !ok || len(verts) != 2 {
 		t.Fatalf("direct path %v ok=%v, want 0->3", verts, ok)
 	}

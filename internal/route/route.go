@@ -436,14 +436,3 @@ func (rt *Router) SplitPath(i int) (verts, arcs []int, fraction float64) {
 // path index the chunk was folded into (chunk order). The slice aliases
 // Router scratch.
 func (rt *Router) SplitChunkAcc() []int { return rt.chunkAcc }
-
-// RequiredBandwidth maps the commodity set with the given function and
-// returns the minimum uniform link capacity that makes it feasible — the
-// metric of Fig. 9(a).
-func RequiredBandwidth(topo topology.Topology, assign []int, comms []graph.Commodity, fn Function) (float64, error) {
-	res, err := Route(topo, assign, comms, Options{Function: fn})
-	if err != nil {
-		return 0, err
-	}
-	return res.MaxLinkLoad, nil
-}

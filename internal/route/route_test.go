@@ -296,6 +296,17 @@ func TestRouteErrors(t *testing.T) {
 	}
 }
 
+// requiredBandwidth maps the commodity set with the given function and
+// returns the minimum uniform link capacity that makes it feasible — the
+// metric of Fig. 9(a).
+func requiredBandwidth(topo topology.Topology, assign []int, comms []graph.Commodity, fn Function) (float64, error) {
+	res, err := Route(topo, assign, comms, Options{Function: fn})
+	if err != nil {
+		return 0, err
+	}
+	return res.MaxLinkLoad, nil
+}
+
 func TestRequiredBandwidthOrdering(t *testing.T) {
 	// Splitting variants gain routing freedom over single-path variants,
 	// so their required bandwidth must not exceed MP's on any instance.
@@ -312,7 +323,7 @@ func TestRequiredBandwidthOrdering(t *testing.T) {
 	assign := identityAssign(9)
 	var req [4]float64
 	for i, fn := range []Function{DimensionOrdered, MinPath, SplitMin, SplitAll} {
-		v, err := RequiredBandwidth(topo, assign, comms, fn)
+		v, err := requiredBandwidth(topo, assign, comms, fn)
 		if err != nil {
 			t.Fatalf("%v: %v", fn, err)
 		}

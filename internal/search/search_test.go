@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"sunmap/internal/apps"
+	"sunmap/internal/fault"
+	"sunmap/internal/graph"
 	"sunmap/internal/mapping"
 	"sunmap/internal/route"
 	"sunmap/internal/topology"
@@ -198,6 +200,36 @@ func BenchmarkSearch(bm *testing.B) {
 	bm.ReportMetric(float64(evals)/bm.Elapsed().Seconds(), "evals/s")
 }
 
+// BenchmarkSearchRandom20 is BenchmarkSearch in the shape the
+// search-fault benchmark workload serves: 20-core generated apps
+// (seeds 1–4 in rotation), no link capacity, 4 restarts, budget 20000,
+// k=1 link faults, run sequentially.
+func BenchmarkSearchRandom20(bm *testing.B) {
+	var appsBySeed [4]*graph.CoreGraph
+	for i := range appsBySeed {
+		appsBySeed[i] = apps.RandomApp(int64(i+1), 20)
+	}
+	opts := Options{
+		Budget:      20000,
+		Restarts:    4,
+		Seed:        1,
+		Mapping:     mapping.Options{Routing: route.MinPath, Objective: mapping.MinDelay},
+		Fault:       &fault.Model{K: 1, Elements: fault.Links},
+		Parallelism: 1,
+	}
+	bm.ReportAllocs()
+	bm.ResetTimer()
+	evals := 0
+	for i := 0; i < bm.N; i++ {
+		res, err := Run(context.Background(), appsBySeed[i%len(appsBySeed)], opts)
+		if err != nil {
+			bm.Fatal(err)
+		}
+		evals += res.Evaluations
+	}
+	bm.ReportMetric(float64(evals)/bm.Elapsed().Seconds(), "evals/s")
+}
+
 // BenchmarkSearchEval reports single candidate-evaluation latency —
 // structure check, full reroute, CDG acyclicity, fitness.
 func BenchmarkSearchEval(bm *testing.B) {
@@ -212,6 +244,7 @@ func BenchmarkSearchEval(bm *testing.B) {
 	}
 	_ = o
 	ev := newEvaluator(app.Commodities(), terms, b, o.Mapping)
+	ev.memo = nil // every iteration scores one structure, which would hit
 	c := ringInit(terms, b)
 	if _, ok := ev.eval(c); !ok {
 		bm.Fatal("ring seed rejected")
